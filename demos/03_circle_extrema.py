@@ -1,9 +1,9 @@
 # Locating modulus extrema on circles and disks
 # =============================================
 #
-# The search is a 4096-point angular grid, golden-section refinement of
-# the winning bracket, then a bisection polish on the sign change of
-# d/dtheta log|f| = -Im(z f'/f), which pins the extremal angle far below
+# The search is a 4096-point angular grid followed by a single bisection
+# on the sign change of d/dtheta log|f| = -Im(z f'/f) over the two grid
+# steps around the grid winner, which pins the extremal angle far below
 # the sqrt(eps) noise floor that value-only comparisons hit.
 
 import io

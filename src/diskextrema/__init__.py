@@ -15,7 +15,6 @@ from .errors import (
     DomainError,
     InteriorAboveBoundary,
     InteriorBelowBoundary,
-    NoConvergence,
     SeriesFormatError,
     ZeroDenominator,
     ZeroDerivative,
@@ -40,7 +39,6 @@ from .functions import (
     ExpSeriesFunction,
     MinPoint,
     Reciprocal,
-    Rotated,
     SeriesFunction,
 )
 from .lemma import (
@@ -87,10 +85,8 @@ __all__ = [
     "LemmaReport",
     "LinkCheck",
     "MinPoint",
-    "NoConvergence",
     "PowerSeries",
     "Reciprocal",
-    "Rotated",
     "SeriesFormatError",
     "SeriesFunction",
     "SweepSummary",

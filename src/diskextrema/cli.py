@@ -39,6 +39,7 @@ from .extremum import (
 )
 from .functions import ExampleFamily, Reciprocal, SeriesFunction
 from .lemma import DEFAULT_TOL, check_max_lemma, check_min_theorem, format_report
+from .lemma import format_value as _fmt
 from .series import read_series
 from .sweep import run_sweep
 
@@ -98,10 +99,6 @@ def _resolve_a0(args: argparse.Namespace) -> complex | None:
     if mod is not None:
         return complex(mod * np.exp(1j * getattr(args, "a0_arg", 0.0)))
     return None
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -277,7 +274,7 @@ def cmd_sweep(config: RunConfig) -> int:
             f"max_duality_gap = {_fmt(summary.max_duality_gap)}",
         ]
         for name, margin in summary.worst_margins.items():
-            lines.append(f"worst_margin.{name} = {'null' if margin is None else _fmt(margin)}")
+            lines.append(f"worst_margin.{name} = {_fmt(margin)}")
         for outcome in summary.failed:
             p = outcome.params
             lines.append("")
@@ -311,12 +308,11 @@ def cmd_landscape(config: RunConfig) -> int:
         f = Reciprocal(f)
 
     profile = modulus_profile(f, config.r, config.grid)
-    moduli = [v for _, v in profile]
-    lo = min(range(len(moduli)), key=moduli.__getitem__)
-    hi = max(range(len(moduli)), key=moduli.__getitem__)
+    lo = int(np.argmin(profile[:, 1]))
+    hi = int(np.argmax(profile[:, 1]))
     summary = (
-        f"grid min: modulus = {_fmt(profile[lo][1])} at theta = {_fmt(profile[lo][0])}\n"
-        f"grid max: modulus = {_fmt(profile[hi][1])} at theta = {_fmt(profile[hi][0])}\n"
+        f"grid min: modulus = {_fmt(profile[lo, 1])} at theta = {_fmt(profile[lo, 0])}\n"
+        f"grid max: modulus = {_fmt(profile[hi, 1])} at theta = {_fmt(profile[hi, 0])}\n"
     )
 
     if config.output_path is None:

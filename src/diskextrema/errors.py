@@ -25,10 +25,6 @@ class ZeroInDisk(DiskExtremaError):
     """|f| dips below the zero threshold somewhere in the closed disk."""
 
 
-class NoConvergence(DiskExtremaError):
-    """Bracket refinement hit its iteration cap before reaching the target."""
-
-
 class InteriorBelowBoundary(DiskExtremaError):
     """An interior sample undercuts the boundary minimum.
 

@@ -1,17 +1,18 @@
 """Locate extrema of |f| on circles ``|z| = r`` and closed disks ``|z| <= r``.
 
-The search is a coarse uniform angular grid followed by golden-section
-refinement of the bracketing arc.  Golden section alone pins the extremal
-angle only to about ``sqrt(eps)`` because |f| is quadratically flat at an
-extremum, so when the function's derivative is available (it always is
-here) the angle is polished further by bisecting the sign change of the
-tangential derivative of ``log |f|``, which crosses zero linearly:
+The search is a coarse uniform angular grid followed by one refinement
+stage.  At an extremum on the circle the ratio ``z f'(z)/f(z)`` is real,
+i.e. the tangential derivative of ``log |f|`` vanishes:
 
     d/dtheta log|f(r e^{i theta})| = -Im(z f'(z)/f(z)),  z = r e^{i theta}.
 
-The polish is pure bisection on the already-bracketed arc (no Newton
-steps) and falls back to the golden-section result whenever no sign
-change brackets the winner (flat or noisy landscapes, e.g. constants).
+Unlike |f| itself, which is quadratically flat there, this crosses zero
+linearly, so bisecting its sign change on the two grid steps around the
+grid winner pins the extremal angle to about 1e-13.  The bisected root is
+accepted when its modulus is no worse than the grid winner's, up to
+rounding.  Otherwise (no sign change, e.g. for constants; a rejected
+root; a sub-grid zero hit by a maximum search) the result is the grid
+winner itself, with the two-step bracket ``2 * TAU / grid`` as its width.
 
 Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
@@ -30,28 +31,25 @@ from .errors import (
     DomainError,
     InteriorAboveBoundary,
     InteriorBelowBoundary,
-    NoConvergence,
     ZeroInDisk,
     ZeroOnCircle,
 )
 from .functions import AnalyticFunction
+from .lemma import ZERO_THRESHOLD
 
 TAU = 2.0 * np.pi
 
 #: Coarse angular grid; resolves minimizer basins for class indices up to ~512.
 DEFAULT_GRID = 4096
-#: Target angular bracket width for golden-section refinement.
-BRACKET_TARGET = 1e-12
-#: Tighter target for the tangential-derivative bisection polish.
+#: Angular bracket width at which the bisection stops.
 POLISH_TARGET = 1e-13
-#: Iteration cap for either refinement loop.
+#: Iteration cap for the bisection.
 MAX_ITERATIONS = 200
-#: Moduli below this are treated as zeros of f.
-ZERO_THRESHOLD = 1e-13
 #: Slack allowed when comparing boundary extrema against interior samples.
 INTERIOR_TOL = 1e-10
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+#: Ulps by which the bisected root may miss the grid winner's modulus.
+_ACCEPT_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -66,86 +64,50 @@ class ExtremumResult:
     bracket_width: float
 
 
-def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID):
-    """``[(theta_k, |f(r e^{i theta_k})|)]`` on a uniform angular grid."""
+def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) -> np.ndarray:
+    """``(samples, 2)`` array of rows ``(theta_k, |f(r e^{i theta_k})|)`` on a uniform grid."""
     if not 0.0 < r < 1.0:
         raise DomainError(f"circle radius must lie in (0, 1), got {r}")
     if samples < 8:
         raise DomainError(f"need at least 8 samples, got {samples}")
     thetas = TAU * np.arange(samples) / samples
-    moduli = np.abs(f.value(r * np.exp(1j * thetas)))
-    return list(zip(thetas.tolist(), moduli.tolist()))
+    return np.column_stack((thetas, np.abs(f.value(r * np.exp(1j * thetas)))))
 
 
 def write_profile_csv(profile, fh) -> None:
     """Write a profile as ``theta,modulus`` rows with 17 significant digits."""
     fh.write("theta,modulus\n")
-    for theta, modulus in profile:
+    for theta, modulus in np.asarray(profile).tolist():
         fh.write(f"{theta:.17g},{modulus:.17g}\n")
 
 
 def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
     profile = modulus_profile(f, r, grid)
-    moduli = np.array([v for _, v in profile])
+    moduli = profile[:, 1]
     if minimize and moduli.min() < ZERO_THRESHOLD:
         raise ZeroOnCircle(
             f"|f| = {moduli.min():.3e} on |z| = {r}; the function vanishes on the circle"
         )
     sign = 1.0 if minimize else -1.0
 
-    def phi(theta: float) -> tuple[float, float]:
-        """(wrapped angle, signed modulus there); smaller is always better."""
-        wrapped = theta % TAU
-        return wrapped, sign * float(np.abs(f.value(r * np.exp(1j * wrapped))))
-
     # Grid winner: first index attaining the extremum, i.e. the smallest theta.
     winner = int(np.argmin(sign * moduli))
-    best_theta = profile[winner][0]
-    best_value = sign * moduli[winner]
-    grid_value = best_value
     step = TAU / grid
-    a = best_theta - step
-    b = best_theta + step
+    theta = float(profile[winner, 0])
+    value = float(moduli[winner])
+    bracket = 2.0 * step
 
-    def consider(theta: float, value: float) -> None:
-        nonlocal best_theta, best_value
-        if value < best_value:
-            best_theta, best_value = theta, value
-
-    iterations = 0
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    tc, fc = phi(c)
-    td, fd = phi(d)
-    consider(tc, fc)
-    consider(td, fd)
-    while b - a > BRACKET_TARGET and iterations < MAX_ITERATIONS:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            tc, fc = phi(c)
-            consider(tc, fc)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            td, fd = phi(d)
-            consider(td, fd)
-    if b - a > BRACKET_TARGET:
-        raise NoConvergence(f"bracket still {b - a:.3e} wide after {iterations} iterations")
-    bracket = b - a
-
-    # Tangential-derivative polish.  g(theta) = Im(z f'/f) crosses zero
-    # downward at a modulus minimum and upward at a maximum.
-    def tangential(theta: float) -> float:
-        z = r * np.exp(1j * (theta % TAU))
+    # g(theta) = sign * Im(z f'/f) crosses zero downward at the extremum.
+    def tangential(t: float) -> float:
+        z = r * np.exp(1j * (t % TAU))
         v = f.value(z)
         if abs(v) <= ZERO_THRESHOLD:
-            raise ZeroOnCircle(f"|f| = {abs(v):.3e} at theta = {theta % TAU}")
+            raise ZeroOnCircle(f"|f| = {abs(v):.3e} at theta = {t % TAU}")
         return sign * float((z * f.deriv1(z) / v).imag)
 
-    lo = best_theta - step
-    hi = best_theta + step
+    iterations = 0
+    lo = theta - step
+    hi = theta + step
     try:
         glo, ghi = tangential(lo), tangential(hi)
         if glo > 0.0 > ghi:
@@ -159,24 +121,20 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
                     hi = mid
                 else:
                     lo = hi = mid
-            t_mid, f_mid = phi(0.5 * (lo + hi))
-            # Accept against the grid winner, not the golden-section point:
-            # the two agree to the evaluation noise floor, and the polished
-            # angle is what makes the log-derivative ratio real.
-            if f_mid <= grid_value:
-                best_theta, best_value = t_mid, f_mid
-                bracket = hi - lo
+            t_mid = (0.5 * (lo + hi)) % TAU
+            v_mid = float(np.abs(f.value(r * np.exp(1j * t_mid))))
+            if sign * (v_mid - value) <= _ACCEPT_ULPS * np.spacing(value):
+                theta, value, bracket = t_mid, v_mid, hi - lo
     except ZeroOnCircle:
-        # A sub-grid zero: fatal for a minimum search, irrelevant for a
-        # maximum search (keep the golden-section result there).
+        # A sub-grid zero: fatal for a minimum search; a maximum search
+        # keeps the grid winner.
         if minimize:
             raise
 
-    theta = best_theta % TAU
     return ExtremumResult(
         theta=theta,
         z0=complex(r * np.exp(1j * theta)),
-        value=sign * best_value,
+        value=value,
         grid_size=grid,
         refine_iterations=iterations,
         bracket_width=bracket,

@@ -157,10 +157,6 @@ class ExampleFamily(AnalyticFunction):
             tail = tail + (n - 1) * z ** (n - 2) / (1.0 - w) ** 2
         return self.u * n * tail
 
-    def derivatives(self, z):
-        """``(f'(z), f''(z))`` from the closed forms."""
-        return self.deriv1(z), self.deriv2(z)
-
     def is_constant(self, tol: float = 1e-15) -> bool:
         return False  # the z^n coefficient is u with |u| = 1
 
@@ -240,34 +236,6 @@ class ExpSeriesFunction(AnalyticFunction):
 
     def is_constant(self, tol: float = 1e-15) -> bool:
         return self.h.is_constant(tol)
-
-
-class Rotated(AnalyticFunction):
-    """``z -> f(e^{i phi} z)``.
-
-    Rotates every extremal angle by ``-phi`` while leaving the modulus
-    landscape, and hence every chain quantity, unchanged.
-    """
-
-    def __init__(self, inner: AnalyticFunction, phi: float):
-        self.inner = inner
-        self.phi = float(phi)
-        self._w = complex(np.exp(1j * self.phi))
-        self.a0 = inner.a0
-        self.n = inner.n
-        self.label = f"rotate({inner.label}, {self.phi})"
-
-    def value(self, z):
-        return self.inner.value(self._w * z)
-
-    def deriv1(self, z):
-        return self._w * self.inner.deriv1(self._w * z)
-
-    def deriv2(self, z):
-        return self._w * self._w * self.inner.deriv2(self._w * z)
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
-        return self.inner.is_constant(tol)
 
 
 class Reciprocal(AnalyticFunction):

@@ -37,6 +37,7 @@ from .errors import (
 from .functions import AnalyticFunction
 
 DEFAULT_TOL = 1e-8
+#: Moduli below this are treated as zeros of f (also by the extremum search).
 ZERO_THRESHOLD = 1e-13
 CONSTANT_TOL = 1e-15
 
@@ -145,7 +146,8 @@ class LemmaReport:
         }
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """One scalar as text: floats with 17 significant digits, ``None`` as ``null``."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -159,10 +161,10 @@ def format_report(report: LemmaReport) -> str:
     """Flat ``key = value`` text rendering with 17 significant digits."""
     doc = report.to_dict()
     checks = doc.pop("checks")
-    lines = [f"{key} = {_fmt(value)}" for key, value in doc.items()]
+    lines = [f"{key} = {format_value(value)}" for key, value in doc.items()]
     for name, fields in checks.items():
         for key, value in fields.items():
-            lines.append(f"checks.{name}.{key} = {_fmt(value)}")
+            lines.append(f"checks.{name}.{key} = {format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,11 @@
-"""Shared helpers: finite-difference oracles and random generators."""
+"""Shared helpers: finite-difference oracles, random generators, test-only wrappers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from diskextrema import PowerSeries
+from diskextrema import AnalyticFunction, PowerSeries
 
 
 def central_diff1(func, z: complex, h: float = 1e-5) -> complex:
@@ -61,6 +61,39 @@ def series_eval_oracle(s: PowerSeries, z: complex) -> complex:
     for k, c in zip(range(s.n, s.order + 1), s.coeffs):
         total += complex(c) * z**k
     return total
+
+
+def derivatives(f: AnalyticFunction, z):
+    """``(f'(z), f''(z))`` in one call."""
+    return f.deriv1(z), f.deriv2(z)
+
+
+class Rotated(AnalyticFunction):
+    """``z -> f(e^{i phi} z)``.
+
+    Rotates every extremal angle by ``-phi`` while leaving the modulus
+    landscape, and hence every chain quantity, unchanged.
+    """
+
+    def __init__(self, inner: AnalyticFunction, phi: float):
+        self.inner = inner
+        self.phi = float(phi)
+        self._w = complex(np.exp(1j * self.phi))
+        self.a0 = inner.a0
+        self.n = inner.n
+        self.label = f"rotate({inner.label}, {self.phi})"
+
+    def value(self, z):
+        return self.inner.value(self._w * z)
+
+    def deriv1(self, z):
+        return self._w * self.inner.deriv1(self._w * z)
+
+    def deriv2(self, z):
+        return self._w * self._w * self.inner.deriv2(self._w * z)
+
+    def is_constant(self, tol: float = 1e-15) -> bool:
+        return self.inner.is_constant(tol)
 
 
 @pytest.fixture

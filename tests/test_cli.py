@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import diskextrema
 from diskextrema import PowerSeries, write_series
 from diskextrema.cli import main
 
@@ -45,6 +47,14 @@ class TestExampleCommand:
         assert code == 0
         assert "verdict = pass" in out
         assert "0.64460163812" in out
+        # minimizers on a rounding-flat bottom of |f|: the located angle must
+        # stay within tolerance of the closed form
+        for mod, arg, n in (("1.2", "2.0", "1"), ("1.5", "3.0", "3")):
+            code, out, _ = run_cli(
+                ["example", "--a0-mod", mod, "--a0-arg", arg, "--n", n, "--r", "0.5"]
+            )
+            assert code == 0, (mod, arg, n)
+            assert "verdict = pass" in out
 
     def test_json_output(self):
         code, out, _ = run_cli(
@@ -253,12 +263,17 @@ class TestEntryPoints:
         assert exc.value.code == 2
 
     def test_module_invocation(self):
+        # the child must import the same package as this test, which pytest
+        # may have put on sys.path without exporting PYTHONPATH
+        src = os.path.dirname(os.path.dirname(diskextrema.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "diskextrema", "example", "--a0", "0.8", "--n", "2",
              "--r", "0.5"],
             capture_output=True,
             text=True,
             timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "verdict = pass" in proc.stdout

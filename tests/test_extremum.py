@@ -37,6 +37,7 @@ def random_exp_function(rng) -> ExpSeriesFunction:
 class TestModulusProfile:
     def test_constant_profile(self):
         profile = modulus_profile(constant(3.0 - 4.0j), 0.5, 16)
+        assert profile.shape == (16, 2)
         assert len(profile) == 16
         assert all(v == 5.0 for _, v in profile)
 
@@ -70,6 +71,14 @@ class TestFindMinOnCircle:
         assert res.value == pytest.approx(0.6, abs=1e-9)
         assert abs(np.exp(2j * res.theta) + 1.0) < 1e-8
         assert res.bracket_width <= 1e-12
+
+    def test_bracket_covers_true_minimizer(self):
+        # |f| is flat to rounding over ~1e-8 rad around theta = pi, so only
+        # the tangential derivative can locate the minimizer; halving the
+        # two grid steps 2 * pi / 2048 down to 1e-13 takes 35 bisections
+        res = find_min_on_circle(ExampleFamily(1.2 * np.exp(2j), 1), 0.5)
+        assert abs(res.theta - np.pi) <= res.bracket_width
+        assert res.refine_iterations <= 45
 
     def test_constant_lands_on_first_grid_point(self):
         res = find_min_on_circle(constant(3.0), 0.5)

@@ -13,7 +13,6 @@ from diskextrema import (
     ExpSeriesFunction,
     PowerSeries,
     Reciprocal,
-    Rotated,
     SeriesFunction,
     ZeroDenominator,
     ZeroDerivative,
@@ -27,6 +26,7 @@ from diskextrema import (
     mocanu_bounds,
     schwarz_quantity,
 )
+from conftest import Rotated
 from test_extremum import random_exp_function
 
 
