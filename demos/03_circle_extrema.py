@@ -4,7 +4,20 @@
 # The search is a 4096-point angular grid followed by a single bisection
 # on the sign change of d/dtheta log|f| = -Im(z f'/f) over the two grid
 # steps around the grid winner, which pins the extremal angle far below
-# the sqrt(eps) noise floor that value-only comparisons hit.
+# the sqrt(eps) noise floor that value-only comparisons hit.  When |f|
+# is flat to rounding across grid points, the rounded grid can pick a
+# neighbour of the true extremum; the bracket then walks one grid step
+# at a time the way the derivative's sign points until it holds a sign
+# change (at most half the grid).
+#
+# The grid itself is one call of f.on_circles.  For a series-backed f,
+# the samples r e^{2 pi i k/M} turn the tail sum a_k r^k z^k into a
+# discrete Fourier sum, so one inverse FFT of the coefficients scaled by
+# r^k gives all M values; coefficients past index M fold into bin
+# k mod M, exactly, since e^{2 pi i jk/M} repeats with period M in k.
+# The closed-form family below uses the default, which evaluates
+# f.value at the grid points.  The refinement evaluates single points,
+# which a series runs in Python complex arithmetic.
 
 import io
 

@@ -1,23 +1,37 @@
 """Locate extrema of |f| on circles ``|z| = r`` and closed disks ``|z| <= r``.
 
 The search is a coarse uniform angular grid followed by one refinement
-stage.  At an extremum on the circle the ratio ``z f'(z)/f(z)`` is real,
-i.e. the tangential derivative of ``log |f|`` vanishes:
+stage.  The grid is sampled in one call of ``f.on_circles``: for a
+series-backed function that is one inverse FFT of the coefficients
+scaled by ``r^k`` (folded modulo the grid size when the order exceeds
+it), for other functions a vectorized ``value`` call at the same points.
+At an extremum on the circle the ratio ``z f'(z)/f(z)`` is real, i.e.
+the tangential derivative of ``log |f|`` vanishes:
 
     d/dtheta log|f(r e^{i theta})| = -Im(z f'(z)/f(z)),  z = r e^{i theta}.
 
 Unlike |f| itself, which is quadratically flat there, this crosses zero
-linearly, so bisecting its sign change on the two grid steps around the
-grid winner pins the extremal angle to about 1e-13.  The bisected root is
-accepted when its modulus is no worse than the grid winner's, up to
-rounding.  Otherwise (no sign change, e.g. for constants; a rejected
-root; a sub-grid zero hit by a maximum search) the result is the grid
-winner itself, with the two-step bracket ``2 * TAU / grid`` as its width.
+linearly, so bisecting its sign change pins the extremal angle to about
+1e-13.  The bisection starts on the two grid steps around the grid
+winner.  When |f| varies by less than rounding between grid points the
+rounded moduli can pick a neighbour of the true extremum, so that
+bracket holds no sign change; the bracket then walks one grid step at a
+time the way the sign of the derivative points (right while it is still
+positive at the right end, left while it is negative at the left end),
+for at most half the grid.  The refinement runs on single points in
+scalar ``value``/``deriv1`` calls.  The bisected root is accepted when its
+modulus is no worse, up to rounding, than the grid winner's modulus
+re-evaluated by the same scalar ``value``, so both sides of the
+comparison come from one evaluator.  Otherwise (no sign change, e.g. for
+constants; a rejected root; a sub-grid zero hit by a maximum search) the
+result is the grid winner itself, with its scalar modulus and the
+two-step bracket ``2 * TAU / grid`` as its width.
 
 Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
 so is the minimum when the function has no zeros there.  The disk
-searches verify that reduction against a coarse 2-D sample and report a
+searches verify that reduction against a coarse 2-D sample (64 circles
+of 256 points, one ``on_circles`` call, plus the origin) and report a
 misuse diagnostic when it fails.
 """
 
@@ -34,10 +48,8 @@ from .errors import (
     ZeroInDisk,
     ZeroOnCircle,
 )
-from .functions import AnalyticFunction
+from .functions import TAU, AnalyticFunction
 from .lemma import ZERO_THRESHOLD
-
-TAU = 2.0 * np.pi
 
 #: Coarse angular grid; resolves minimizer basins for class indices up to ~512.
 DEFAULT_GRID = 4096
@@ -71,7 +83,7 @@ def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) 
     if samples < 8:
         raise DomainError(f"need at least 8 samples, got {samples}")
     thetas = TAU * np.arange(samples) / samples
-    return np.column_stack((thetas, np.abs(f.value(r * np.exp(1j * thetas)))))
+    return np.column_stack((thetas, np.abs(f.on_circles([r], samples)[0])))
 
 
 def write_profile_csv(profile, fh) -> None:
@@ -94,7 +106,7 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     winner = int(np.argmin(sign * moduli))
     step = TAU / grid
     theta = float(profile[winner, 0])
-    value = float(moduli[winner])
+    value = float(np.abs(f.value(r * np.exp(1j * theta))))
     bracket = 2.0 * step
 
     # g(theta) = sign * Im(z f'/f) crosses zero downward at the extremum.
@@ -110,6 +122,18 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     hi = theta + step
     try:
         glo, ghi = tangential(lo), tangential(hi)
+        # Walk toward the sign change while the bracket holds none.
+        for _ in range(grid // 2):
+            if ghi > 0.0:
+                lo, glo = hi, ghi
+                hi += step
+                ghi = tangential(hi)
+            elif glo < 0.0:
+                hi, ghi = lo, glo
+                lo -= step
+                glo = tangential(lo)
+            else:
+                break
         if glo > 0.0 > ghi:
             while hi - lo > POLISH_TARGET and iterations < MAX_ITERATIONS:
                 iterations += 1
@@ -157,9 +181,7 @@ def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) 
 
 def _interior_moduli(f: AnalyticFunction, r: float) -> np.ndarray:
     radii = r * np.arange(1, 65) / 64.0
-    angles = TAU * np.arange(256) / 256.0
-    z = radii[:, None] * np.exp(1j * angles[None, :])
-    flat = np.abs(f.value(z)).ravel()
+    flat = np.abs(f.on_circles(radii, 256)).ravel()
     return np.concatenate(([abs(complex(f.value(0j)))], flat))
 
 

@@ -11,17 +11,32 @@ value and first two derivatives.  Implementations here:
   the workhorse of the randomized falsification sweeps;
 * :class:`Reciprocal` -- pointwise ``1/f``, the duality construction that
   turns minimum-modulus statements into maximum-modulus ones.
+
+``on_circles`` samples whole circles at once.  The default evaluates
+``value`` at the grid points; the series-backed classes override it with
+the FFT of :meth:`PowerSeries.on_circles`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
 from .series import PowerSeries
+
+TAU = 2.0 * np.pi
+
+
+@lru_cache(maxsize=8)
+def _unit_circle(samples: int) -> np.ndarray:
+    """``e^{i theta_k}`` with ``theta_k = TAU * k / samples``, computed once per grid size."""
+    roots = np.exp(1j * (TAU * np.arange(samples) / samples))
+    roots.setflags(write=False)
+    return roots
 
 
 def _require_in_disk(z) -> None:
@@ -56,6 +71,14 @@ class AnalyticFunction(ABC):
     @abstractmethod
     def deriv2(self, z): ...
 
+    def on_circles(self, radii, samples: int) -> np.ndarray:
+        """Values at ``radii[j] * e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
+
+        Returns a ``(len(radii), samples)`` array; this default evaluates
+        ``value`` at those points.
+        """
+        return self.value(np.asarray(radii, dtype=np.float64)[:, None] * _unit_circle(samples))
+
     def is_constant(self, tol: float = 1e-15) -> bool:
         """Numerical constancy test.
 
@@ -81,6 +104,9 @@ class SeriesFunction(AnalyticFunction):
 
     def value(self, z):
         return self.series(z)
+
+    def on_circles(self, radii, samples: int) -> np.ndarray:
+        return self.series.on_circles(radii, samples)
 
     def deriv1(self, z):
         return self._d1(z)
@@ -227,6 +253,9 @@ class ExpSeriesFunction(AnalyticFunction):
     def value(self, z):
         return self.a0 * np.exp(self.h(z))
 
+    def on_circles(self, radii, samples: int) -> np.ndarray:
+        return self.a0 * np.exp(self.h.on_circles(radii, samples))
+
     def deriv1(self, z):
         return self.value(z) * self._h1(z)
 
@@ -256,6 +285,9 @@ class Reciprocal(AnalyticFunction):
 
     def value(self, z):
         return 1.0 / self.inner.value(z)
+
+    def on_circles(self, radii, samples: int) -> np.ndarray:
+        return 1.0 / self.inner.on_circles(radii, samples)
 
     def deriv1(self, z):
         v = self.inner.value(z)

@@ -6,6 +6,25 @@ A series is the polynomial ``a0 + sum_{k=n}^{N} a_k z^k``.  The indices
 representation itself.  A truncated series is treated as an exact
 polynomial (a polynomial is a perfectly good analytic function on the
 disk), so no tail estimation is performed anywhere.
+
+Evaluation has one path per shape of call:
+
+* a single point (a Python or numpy scalar, or a 0-d array) runs Horner
+  in Python ``complex`` over a reversed-coefficient tuple cached at
+  construction, with a plain ``abs(z) >= 1`` domain check.  It rounds
+  exactly like Horner in numpy complex scalars, without their per-call
+  overhead;
+* an array of points runs the same Horner recurrence elementwise in
+  numpy; it is the evaluator for arbitrary point sets.  numpy's
+  vectorized complex multiply may fuse multiply-adds, so its results can
+  differ from the single-point path in the last bits;
+* whole circles (:meth:`PowerSeries.on_circles`) are one batched FFT:
+  on ``|z| = r`` sampled at ``theta_j = 2 pi j / M`` the tail is the
+  discrete Fourier sum ``sum_k (a_k r^k) e^{2 pi i j k / M}``, so the
+  scaled coefficients are folded into ``M`` bins (index ``k`` into bin
+  ``k mod M``, which is exact since ``e^{2 pi i j k / M}`` has period
+  ``M`` in ``k``) and one inverse FFT per circle, times ``M``, gives all
+  ``M`` values.  The radii are validated once per call, not per point.
 """
 
 from __future__ import annotations
@@ -42,6 +61,8 @@ class PowerSeries:
         object.__setattr__(self, "a0", complex(self.a0))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "coeffs", c)
+        # Horner order, as Python complex, so a single point never touches numpy.
+        object.__setattr__(self, "_reversed", tuple(complex(x) for x in c[::-1]))
 
     @property
     def order(self) -> int:
@@ -69,14 +90,38 @@ class PowerSeries:
         """Evaluate at ``z`` (scalar or ndarray) with ``|z| < 1``.
 
         Horner evaluation of the stored tail, then one multiplication by
-        ``z**n``; evaluation at 0 returns ``a0`` exactly.
+        ``z**n``; evaluation at 0 returns ``a0`` exactly.  A single point
+        is evaluated in Python ``complex`` and returned as ``complex``;
+        an array is evaluated elementwise in numpy.
         """
-        if np.any(np.abs(z) >= 1.0):
+        if isinstance(z, np.ndarray) and z.ndim:
+            outside = np.any(np.abs(z) >= 1.0)
+        else:
+            z = complex(z)
+            outside = abs(z) >= 1.0
+        if outside:
             raise DomainError("evaluation point must satisfy |z| < 1")
         acc = 0.0 + 0.0j
-        for c in self.coeffs[::-1]:
+        for c in self._reversed:
             acc = acc * z + c
         return self.a0 + acc * z**self.n
+
+    def on_circles(self, radii, samples: int) -> np.ndarray:
+        """Values at ``radii[j] * e^{2 pi i k / samples}`` as a ``(len(radii), samples)`` array.
+
+        Scales the tail by ``r^k``, folds index ``k`` into bin
+        ``k mod samples`` (exact for any order, aliasing included) and
+        takes one inverse FFT along the angle axis; ``a0`` is added last.
+        """
+        radii = np.asarray(radii, dtype=np.float64).reshape(-1)
+        if np.any(radii < 0.0) or np.any(radii >= 1.0):
+            raise DomainError("circle radii must satisfy 0 <= r < 1")
+        size = self.order + 1
+        folds = -(-size // samples)
+        bins = np.zeros((len(radii), folds * samples), dtype=np.complex128)
+        bins[:, self.n : size] = self.coeffs * radii[:, None] ** np.arange(self.n, size)
+        folded = bins.reshape(len(radii), folds, samples).sum(axis=1)
+        return self.a0 + np.fft.ifft(folded, axis=1) * samples
 
     def differentiate(self) -> "PowerSeries":
         """Termwise derivative; the truncation order drops by one."""

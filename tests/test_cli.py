@@ -13,6 +13,19 @@ from diskextrema import PowerSeries, write_series
 from diskextrema.cli import main
 
 
+DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+DEMOS = sorted(name for name in os.listdir(DEMO_DIR) if name.endswith(".py"))
+
+
+def child_pythonpath() -> str:
+    """``PYTHONPATH`` that makes a child process import the same package as this test.
+
+    pytest may have put the package on ``sys.path`` without exporting it.
+    """
+    src = os.path.dirname(os.path.dirname(diskextrema.__file__))
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -49,11 +62,15 @@ class TestExampleCommand:
         assert "0.64460163812" in out
         # minimizers on a rounding-flat bottom of |f|: the located angle must
         # stay within tolerance of the closed form
-        for mod, arg, n in (("1.2", "2.0", "1"), ("1.5", "3.0", "3")):
+        for mod, arg, n, r in (
+            ("1.2", "2.0", "1", "0.5"),
+            ("1.5", "3.0", "3", "0.5"),
+            ("0.5409475328906539", "5.987111868764644", "12", "0.08286736484609238"),
+        ):
             code, out, _ = run_cli(
-                ["example", "--a0-mod", mod, "--a0-arg", arg, "--n", n, "--r", "0.5"]
+                ["example", "--a0-mod", mod, "--a0-arg", arg, "--n", n, "--r", r]
             )
-            assert code == 0, (mod, arg, n)
+            assert code == 0, (mod, arg, n, r)
             assert "verdict = pass" in out
 
     def test_json_output(self):
@@ -263,17 +280,25 @@ class TestEntryPoints:
         assert exc.value.code == 2
 
     def test_module_invocation(self):
-        # the child must import the same package as this test, which pytest
-        # may have put on sys.path without exporting PYTHONPATH
-        src = os.path.dirname(os.path.dirname(diskextrema.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "diskextrema", "example", "--a0", "0.8", "--n", "2",
              "--r", "0.5"],
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": child_pythonpath()},
         )
         assert proc.returncode == 0
         assert "verdict = pass" in proc.stdout
+
+    @pytest.mark.parametrize("demo", DEMOS)
+    def test_demo_runs_from_checkout(self, demo):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(DEMO_DIR, demo)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": child_pythonpath()},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout

@@ -80,6 +80,16 @@ class TestFindMinOnCircle:
         assert abs(res.theta - np.pi) <= res.bracket_width
         assert res.refine_iterations <= 45
 
+    def test_bracket_walks_to_sign_change(self):
+        # r^12 = 1e-13: |f| varies by less than rounding between grid points,
+        # so the rounded grid picks theta = 0.2592, a neighbour of the true
+        # minimizer pi/12, and the tangential derivative has no sign change
+        # on the two steps around it until the bracket walks one step right
+        a0 = 0.5409475328906539 * np.exp(5.987111868764644j)
+        res = find_min_on_circle(ExampleFamily(a0, 12), 0.08286736484609238)
+        assert abs(res.theta - np.pi / 12) <= res.bracket_width <= 1e-13
+        assert res.refine_iterations > 0
+
     def test_constant_lands_on_first_grid_point(self):
         res = find_min_on_circle(constant(3.0), 0.5)
         assert res.value == 3.0

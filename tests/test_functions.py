@@ -10,7 +10,7 @@ from diskextrema import (
     SeriesFunction,
     find_min_on_circle,
 )
-from conftest import Rotated, central_diff1, central_diff2, derivatives, random_series
+from conftest import Rotated, central_diff1, central_diff2, derivatives, random_series, tame_series
 
 
 def geometric_sum_oracle(family: ExampleFamily, z: complex, terms: int = 400) -> complex:
@@ -250,3 +250,54 @@ class TestWrappers:
             z = 0.9 * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert complex(rot.value(z)) == pytest.approx(complex(fam.value(w * z)), rel=1e-14)
             assert complex(rot.deriv1(z)) == pytest.approx(central_diff1(rot.value, z), rel=1e-6)
+
+
+class TestOnCircles:
+    RADII = np.array([0.1, 0.5, 0.9])
+
+    @staticmethod
+    def points(samples: int) -> np.ndarray:
+        thetas = 2.0 * np.pi * np.arange(samples) / samples
+        return TestOnCircles.RADII[:, None] * np.exp(1j * thetas)
+
+    @staticmethod
+    def scale(s: PowerSeries) -> np.ndarray:
+        """``64 eps (|a0| + sum |a_k| r^k)`` per radius, as a column."""
+        k = np.arange(s.n, s.order + 1)
+        mass = abs(s.a0) + (np.abs(s.coeffs) * TestOnCircles.RADII[:, None] ** k).sum(axis=1)
+        return 64 * np.finfo(np.float64).eps * mass[:, None]
+
+    def test_default_evaluates_value_at_the_grid(self):
+        # closed forms and wrappers without an override give value's own bits
+        family = ExampleFamily(0.9 * np.exp(1j * np.pi / 3), 3)
+        for f in (family, Rotated(family, 0.7)):
+            got = f.on_circles(self.RADII, 64)
+            assert got.shape == (3, 64)
+            assert np.array_equal(got, f.value(self.points(64)))
+
+    def test_series_function(self, rng):
+        s = random_series(rng, n=2, degree=40)
+        f = SeriesFunction(s)
+        got = f.on_circles(self.RADII, 32)
+        assert np.all(np.abs(got - f.value(self.points(32))) <= self.scale(s))
+
+    def test_exp_series_function(self, rng):
+        # exp turns an absolute error in h into a relative one in f
+        h = PowerSeries(0.0, 2, 0.1 * random_series(rng, n=2, degree=30).coeffs)
+        f = ExpSeriesFunction(1.3 * np.exp(0.7j), h)
+        expected = f.value(self.points(16))
+        got = f.on_circles(self.RADII, 16)
+        tol = (self.scale(h) + 4 * np.finfo(np.float64).eps) * np.abs(expected)
+        assert np.all(np.abs(got - expected) <= tol)
+
+    def test_reciprocal(self, rng):
+        # 1/f turns an absolute error in f into one divided by |f|^2
+        s = tame_series(rng, n=1, degree=24)
+        g = Reciprocal(SeriesFunction(s))
+        expected = g.value(self.points(16))
+        got = g.on_circles(self.RADII, 16)
+        assert np.all(np.abs(got - expected) <= self.scale(s) * np.abs(expected) ** 2)
+
+    def test_reciprocal_of_closed_form_is_exact(self):
+        g = Reciprocal(ExampleFamily(0.8, 2))
+        assert np.array_equal(g.on_circles(self.RADII, 16), g.value(self.points(16)))

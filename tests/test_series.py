@@ -83,6 +83,87 @@ class TestEval:
             PowerSeries(1.0, 1, [1.0])(np.array([0.1, 1.2]))
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def circle_points(radii, samples):
+    """The points ``on_circles`` samples, in the same expression as the default."""
+    thetas = 2.0 * np.pi * np.arange(samples) / samples
+    return np.asarray(radii, dtype=np.float64)[:, None] * np.exp(1j * thetas)
+
+
+def magnitude_sum(s: PowerSeries, radius) -> np.ndarray:
+    """``|a0| + sum_k |a_k| r^k`` per radius: the scale of every rounding error."""
+    radius = np.asarray(radius, dtype=np.float64).reshape(-1)
+    k = np.arange(s.n, s.order + 1)
+    return abs(s.a0) + (np.abs(s.coeffs) * radius[:, None] ** k).sum(axis=1)
+
+
+class TestScalarPath:
+    @pytest.mark.parametrize("order", [1, 2, 16, 128, 512])
+    def test_matches_numpy_scalar_horner_exactly(self, rng, order):
+        # Python complex rounds each product and sum like numpy complex128
+        # scalars do, so a single point gets the bits numpy-scalar Horner gives
+        for n in (1, 3, min(12, order)):
+            s = random_series(rng, n=n, degree=order)
+            for _ in range(10):
+                z = 0.99 * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                w = np.complex128(z)
+                acc = np.complex128(0.0)
+                for c in s.coeffs[::-1]:
+                    acc = acc * w + c
+                expected = s.a0 + acc * w**s.n
+                for point in (complex(z), w, np.array(z)):
+                    got = s(point)
+                    assert type(got) is complex and got == expected
+            assert type(s(0.5)) is complex
+
+    @pytest.mark.parametrize("order", [1, 2, 16, 128, 512])
+    def test_agrees_with_array_path(self, rng, order):
+        # both are Horner in complex128; the array loop may fuse multiply-adds,
+        # so they agree within twice the Horner bound gamma_2N * sum |a_k||z|^k
+        s = random_series(rng, degree=order)
+        z = 0.99 * rng.uniform(0, 1, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        vector = s(z)
+        scalar = np.array([s(complex(p)) for p in z])
+        bound = 2 * 2 * (order + 1) * EPS * magnitude_sum(s, np.abs(z)).max()
+        assert np.max(np.abs(scalar - vector)) <= bound
+
+    @pytest.mark.parametrize(
+        "z", [np.complex128(0.6 + 0.8j), np.array(1.0 + 0j), np.float64(-1.5), 1j]
+    )
+    def test_rejects_scalar_outside_disk(self, z):
+        with pytest.raises(DomainError):
+            PowerSeries(1.0, 1, [1.0])(z)
+
+
+class TestOnCircles:
+    @pytest.mark.parametrize(
+        "n, order, samples",
+        [(1, 8, 16), (1, 16, 16), (1, 40, 16), (3, 12, 32), (4, 100, 8), (2, 512, 256)],
+    )
+    def test_matches_value_at_the_same_points(self, rng, n, order, samples):
+        # orders at or above `samples` exercise the fold of index k into bin k mod samples
+        s = random_series(rng, n=n, degree=order)
+        radii = np.array([0.0, 0.3, 0.75, 0.95])
+        got = s.on_circles(radii, samples)
+        assert got.shape == (len(radii), samples)
+        tol = 64 * EPS * magnitude_sum(s, radii)
+        assert np.all(np.abs(got - s(circle_points(radii, samples))) <= tol[:, None])
+
+    def test_origin_circle_is_a0_exactly(self, rng):
+        s = random_series(rng, n=2, degree=20)
+        assert np.all(s.on_circles([0.0], 16) == s.a0)
+
+    def test_constant(self):
+        assert np.all(PowerSeries(2.5 - 1j, 3, []).on_circles([0.2, 0.9], 8) == 2.5 - 1j)
+
+    @pytest.mark.parametrize("radii", [[0.5, 1.0], [-0.1], [1.5]])
+    def test_rejects_radius_outside_disk(self, radii):
+        with pytest.raises(DomainError):
+            PowerSeries(1.0, 1, [1.0]).on_circles(radii, 16)
+
+
 class TestDifferentiate:
     def test_constant_gives_zero_series(self):
         d = PowerSeries(5.0, 1, []).differentiate()
