@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,39 +48,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    command: str
-    a0: complex | None = None
-    n: int | None = None
-    r: float | None = None
-    grid: int = DEFAULT_GRID
-    tol: float = DEFAULT_TOL
-    trials: int = 1
-    seed: int = 0
-    mode: str = "min"
-    reciprocal: bool = False
-    input_path: str | None = None
-    output_path: str | None = None
-    output_format: str = "text"
-
-    def validate(self) -> None:
-        if self.r is not None and not 0.0 < self.r < 1.0:
-            raise DomainError(f"--r must lie in (0, 1), got {self.r}")
-        if self.grid < 8:
-            raise DomainError(f"--grid must be at least 8, got {self.grid}")
-        if self.tol <= 0.0:
-            raise DomainError(f"--tol must be positive, got {self.tol}")
-        if self.trials < 1:
-            raise DomainError(f"--trials must be at least 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"--seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.n is not None and self.n < 1:
-            raise DomainError(f"--n must be a positive integer, got {self.n}")
-
-
 def _parse_complex(text: str) -> complex:
     cleaned = text.strip().replace(" ", "")
     try:
@@ -90,15 +57,6 @@ def _parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError as exc:
         raise DomainError(f"cannot parse complex number from {text!r}") from exc
-
-
-def _resolve_a0(args: argparse.Namespace) -> complex | None:
-    if getattr(args, "a0", None) is not None:
-        return _parse_complex(args.a0)
-    mod = getattr(args, "a0_mod", None)
-    if mod is not None:
-        return complex(mod * np.exp(1j * getattr(args, "a0_arg", 0.0)))
-    return None
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -118,20 +76,20 @@ def _json_doc(doc: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_example(config: RunConfig) -> int:
-    family = ExampleFamily(config.a0, config.n)
-    r = config.r
+def cmd_example(args: argparse.Namespace) -> int:
+    family = ExampleFamily(args.a0, args.n)
+    r = args.r
 
     center, radius = family.image_disk(r)
     z0_closed, min_closed = family.min_point(r)
     chain = family.closed_chain(r)
 
-    located = find_min_on_disk(family, r, config.grid)
-    report = check_min_theorem(family, config.n, located.z0, config.tol)
+    located = find_min_on_disk(family, r, args.grid)
+    report = check_min_theorem(family, args.n, located.z0, args.tol)
 
-    boundary = r * np.exp(2j * np.pi * np.arange(4096) / 4096)
-    image_dev = float(np.max(np.abs(np.abs(family.value(boundary) - center) - radius)))
-    phase_residual = float(abs(np.exp(1j * config.n * located.theta) + 1.0))
+    boundary_values = family.on_circles([r], 4096)[0]
+    image_dev = float(np.max(np.abs(np.abs(boundary_values - center) - radius)))
+    phase_residual = float(abs(np.exp(1j * args.n * located.theta) + 1.0))
 
     schwarz_numeric = np.inf if report.schwarz is None else report.schwarz
     rows = [
@@ -143,16 +101,16 @@ def cmd_example(config: RunConfig) -> int:
         ("minimizer_phase", 0.0, phase_residual),
     ]
     diffs = {name: abs(closed - numeric) for name, closed, numeric in rows}
-    ok = report.passed and all(d <= config.tol for d in diffs.values())
+    ok = report.passed and all(d <= args.tol for d in diffs.values())
 
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
             "command": "example",
             "a0_re": family.a0.real,
             "a0_im": family.a0.imag,
-            "n": config.n,
+            "n": args.n,
             "r": r,
-            "tolerance": config.tol,
+            "tolerance": args.tol,
             "image_center_re": center.real,
             "image_center_im": center.imag,
             "image_radius": radius,
@@ -165,11 +123,11 @@ def cmd_example(config: RunConfig) -> int:
             "report": report.to_dict(),
             "passed": ok,
         }
-        _emit(_json_doc(doc), config.output_path)
+        _emit(_json_doc(doc), args.output)
     else:
         lines = [
             f"reference family: a0 = {_fmt(family.a0.real)} + {_fmt(family.a0.imag)}i, "
-            f"n = {config.n}, r = {_fmt(r)}",
+            f"n = {args.n}, r = {_fmt(r)}",
             f"image disk: center = {_fmt(center.real)} + {_fmt(center.imag)}i, "
             f"radius = {_fmt(radius)}",
             f"closed-form minimizer: z0 = {_fmt(z0_closed.real)} + {_fmt(z0_closed.imag)}i",
@@ -183,7 +141,7 @@ def cmd_example(config: RunConfig) -> int:
         lines.append("")
         lines.append(format_report(report).rstrip("\n"))
         lines.append(f"verdict = {'pass' if ok else 'fail'}")
-        _emit("\n".join(lines) + "\n", config.output_path)
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -192,40 +150,40 @@ def cmd_example(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(config: RunConfig) -> int:
-    series = read_series(config.input_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    series = read_series(args.input)
     f = SeriesFunction(series)
-    if config.mode == "min":
+    if args.mode == "min":
         if f.a0 == 0:
             raise DomainError("minimum-mode verification needs a0 != 0 (f must be zero-free)")
-        located = find_min_on_disk(f, config.r, config.grid)
-        report = check_min_theorem(f, series.n, located.z0, config.tol)
+        located = find_min_on_disk(f, args.r, args.grid)
+        report = check_min_theorem(f, series.n, located.z0, args.tol)
     else:
-        located = find_max_on_disk(f, config.r, config.grid)
-        report = check_max_lemma(f, series.n, located.z0, config.tol)
+        located = find_max_on_disk(f, args.r, args.grid)
+        report = check_max_lemma(f, series.n, located.z0, args.tol)
 
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
             "command": "verify",
-            "mode": config.mode,
-            "input": config.input_path,
-            "r": config.r,
+            "mode": args.mode,
+            "input": args.input,
+            "r": args.r,
             "theta": located.theta,
             "extremal_modulus": located.value,
             "bracket_width": located.bracket_width,
             "report": report.to_dict(),
         }
-        _emit(_json_doc(doc), config.output_path)
+        _emit(_json_doc(doc), args.output)
     else:
         lines = [
-            f"series: {config.input_path} (a0 = {_fmt(series.a0.real)} + "
+            f"series: {args.input} (a0 = {_fmt(series.a0.real)} + "
             f"{_fmt(series.a0.imag)}i, n = {series.n}, N = {series.order})",
-            f"{config.mode} search on |z| <= {_fmt(config.r)}: "
+            f"{args.mode} search on |z| <= {_fmt(args.r)}: "
             f"theta = {_fmt(located.theta)}, modulus = {_fmt(located.value)}",
             "",
             format_report(report).rstrip("\n"),
         ]
-        _emit("\n".join(lines) + "\n", config.output_path)
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -249,10 +207,10 @@ def _trial_doc(outcome) -> dict:
     }
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    summary = run_sweep(config.trials, config.seed, config.tol, config.grid)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    summary = run_sweep(args.trials, args.seed, args.tol, args.grid)
 
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
             "command": "sweep",
             "trials": summary.trials,
@@ -264,7 +222,7 @@ def cmd_sweep(config: RunConfig) -> int:
             "failed": [_trial_doc(out) for out in summary.failed],
             "passed": summary.passed,
         }
-        _emit(_json_doc(doc), config.output_path)
+        _emit(_json_doc(doc), args.output)
     else:
         lines = [
             f"trials = {summary.trials}",
@@ -290,7 +248,7 @@ def cmd_sweep(config: RunConfig) -> int:
                 lines.append(format_report(report).rstrip("\n"))
             lines.append(f"duality_gap = {_fmt(outcome.duality_gap)}")
         lines.append(f"verdict = {'pass' if summary.passed else 'fail'}")
-        _emit("\n".join(lines) + "\n", config.output_path)
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 
@@ -299,15 +257,15 @@ def cmd_sweep(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_landscape(config: RunConfig) -> int:
-    if config.input_path is not None:
-        f = SeriesFunction(read_series(config.input_path))
+def cmd_landscape(args: argparse.Namespace) -> int:
+    if args.input is not None:
+        f = SeriesFunction(read_series(args.input))
     else:
-        f = ExampleFamily(config.a0, config.n)
-    if config.reciprocal:
+        f = ExampleFamily(args.a0, args.n)
+    if args.reciprocal:
         f = Reciprocal(f)
 
-    profile = modulus_profile(f, config.r, config.grid)
+    profile = modulus_profile(f, args.r, args.grid)
     lo = int(np.argmin(profile[:, 1]))
     hi = int(np.argmax(profile[:, 1]))
     summary = (
@@ -315,11 +273,11 @@ def cmd_landscape(config: RunConfig) -> int:
         f"grid max: modulus = {_fmt(profile[hi, 1])} at theta = {_fmt(profile[hi, 0])}\n"
     )
 
-    if config.output_path is None:
+    if args.output is None:
         write_profile_csv(profile, sys.stdout)
         sys.stderr.write(summary)
     else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             write_profile_csv(profile, fh)
         sys.stdout.write(summary)
     return EXIT_OK
@@ -340,6 +298,15 @@ def _add_a0_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    disk = argparse.ArgumentParser(add_help=False, parents=[grid])
+    disk.add_argument("--r", type=float, required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    report.add_argument("--format", choices=("text", "json"), default="text")
+    report.add_argument("--output", default=None)
+
     parser = argparse.ArgumentParser(
         prog="diskextrema",
         description="Locate modulus extrema of analytic functions on the unit disk "
@@ -347,86 +314,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = dict(tol=DEFAULT_TOL, grid=DEFAULT_GRID)
-
-    p = sub.add_parser("example", help="reproduce the closed-form reference family")
+    p = sub.add_parser(
+        "example", parents=[disk, report], help="reproduce the closed-form reference family"
+    )
+    p.set_defaults(run=cmd_example)
     _add_a0_flags(p, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tol", type=float, default=common["tol"])
-    p.add_argument("--grid", type=int, default=common["grid"])
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("verify", help="check a user-supplied series at its disk extremum")
+    p = sub.add_parser(
+        "verify", parents=[disk, report], help="check a user-supplied series at its disk extremum"
+    )
+    p.set_defaults(run=cmd_verify)
     p.add_argument("--input", required=True, help="series literal file")
-    p.add_argument("--r", type=float, required=True)
     p.add_argument("--mode", choices=("min", "max"), default="min")
-    p.add_argument("--tol", type=float, default=common["tol"])
-    p.add_argument("--grid", type=int, default=common["grid"])
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("sweep", help="seeded randomized falsification sweep")
+    p = sub.add_parser("sweep", parents=[grid, report], help="seeded randomized falsification sweep")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--tol", type=float, default=common["tol"])
-    p.add_argument("--grid", type=int, default=common["grid"])
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("landscape", help="export a theta,modulus CSV of the circle profile")
+    p = sub.add_parser(
+        "landscape", parents=[disk], help="export a theta,modulus CSV of the circle profile"
+    )
+    p.set_defaults(run=cmd_landscape)
     _add_a0_flags(p, required=False)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--input", default=None, help="series literal file instead of family flags")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--grid", type=int, default=common["grid"])
     p.add_argument("--reciprocal", action="store_true", help="profile 1/f instead of f")
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        command=args.command,
-        a0=_resolve_a0(args),
-        n=getattr(args, "n", None),
-        r=getattr(args, "r", None),
-        grid=getattr(args, "grid", DEFAULT_GRID),
-        tol=getattr(args, "tol", DEFAULT_TOL),
-        trials=getattr(args, "trials", 1),
-        seed=getattr(args, "seed", 0),
-        mode=getattr(args, "mode", "min"),
-        reciprocal=getattr(args, "reciprocal", False),
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        output_format=getattr(args, "format", "text"),
-    )
-    config.validate()
-    if config.command == "example" and config.a0 is None:
-        raise DomainError("example needs --a0 or --a0-mod/--a0-arg")
-    if config.command == "landscape":
-        if (config.input_path is None) == (config.a0 is None):
+def _resolve_a0(args: argparse.Namespace) -> complex | None:
+    if args.a0 is not None:
+        return _parse_complex(args.a0)
+    if args.a0_mod is not None:
+        return complex(args.a0_mod * np.exp(1j * args.a0_arg))
+    return None
+
+
+def _validate(args: argparse.Namespace) -> None:
+    """Resolve ``a0`` to a complex number, then check the range of every flag."""
+    if "a0" in args:
+        args.a0 = _resolve_a0(args)
+    r, tol, n = (getattr(args, name, None) for name in ("r", "tol", "n"))
+    if r is not None and not 0.0 < r < 1.0:
+        raise DomainError(f"--r must lie in (0, 1), got {r}")
+    if args.grid < 8:
+        raise DomainError(f"--grid must be at least 8, got {args.grid}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise DomainError(f"--tol must be positive and finite, got {tol}")
+    if "trials" in args and args.trials < 1:
+        raise DomainError(f"--trials must be at least 1, got {args.trials}")
+    if "seed" in args and not 0 <= args.seed < 2**64:
+        raise DomainError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
+    if n is not None and n < 1:
+        raise DomainError(f"--n must be a positive integer, got {n}")
+    if args.command == "landscape":
+        if (args.input is None) == (args.a0 is None):
             raise DomainError("landscape needs either --input or --a0/--n family flags")
-        if config.a0 is not None and config.n is None:
+        if args.a0 is not None and args.n is None:
             raise DomainError("landscape family flags need --n")
-    return config
-
-
-_DISPATCH = {
-    "example": cmd_example,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "landscape": cmd_landscape,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.command](config)
+        _validate(args)
+        return args.run(args)
     except (ZeroInDisk, ZeroOnCircle) as exc:
         sys.stderr.write(f"error: the function vanishes on the search region: {exc}\n")
         return EXIT_USAGE

@@ -24,6 +24,7 @@ than being assumed to vanish.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -173,8 +174,8 @@ def _link(margin: float, tol: float) -> LinkCheck:
 
 
 def _check_chain(f: AnalyticFunction, n: int, z0: complex, tol: float, case: str) -> LemmaReport:
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if f.is_constant(CONSTANT_TOL):
         raise ConstantFunction("the chain is vacuous for a constant function")
     z0 = complex(z0)

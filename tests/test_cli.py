@@ -10,7 +10,7 @@ import pytest
 
 import diskextrema
 from diskextrema import PowerSeries, write_series
-from diskextrema.cli import main
+from diskextrema.cli import build_parser, main
 
 
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
@@ -175,7 +175,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--grid", "4"], ["--tol", "0"], ["--tol", "-1"]],
+        [["--grid", "4"], ["--tol", "0"], ["--tol", "-1"], ["--tol", "inf"], ["--tol", "nan"]],
     )
     def test_config_invariants(self, flags, family_truncation_file):
         code, _, err = run_cli(
@@ -271,6 +271,60 @@ class TestLandscapeCommand:
             ["landscape", "--input", str(path), "--a0", "0.8", "--n", "2", "--r", "0.5"]
         )
         assert code == 2
+
+
+#: Minimal argv of each subcommand, the flags it requires (each followed by
+#: one value in that argv), and the destinations and defaults of its namespace.
+SURFACE = {
+    "example": (
+        ["example", "--a0", "0.8", "--n", "2", "--r", "0.5"],
+        ["--a0", "--n", "--r"],
+        {"command": "example", "a0": "0.8", "a0_mod": None, "a0_arg": 0.0, "n": 2, "r": 0.5,
+         "tol": 1e-8, "grid": 4096, "format": "text", "output": None},
+    ),
+    "verify": (
+        ["verify", "--input", "s.txt", "--r", "0.5"],
+        ["--input", "--r"],
+        {"command": "verify", "input": "s.txt", "r": 0.5, "mode": "min", "tol": 1e-8,
+         "grid": 4096, "format": "text", "output": None},
+    ),
+    "sweep": (
+        ["sweep", "--trials", "3", "--seed", "1"],
+        ["--trials", "--seed"],
+        {"command": "sweep", "trials": 3, "seed": 1, "tol": 1e-8, "grid": 4096,
+         "format": "text", "output": None},
+    ),
+    "landscape": (
+        ["landscape", "--r", "0.5"],
+        ["--r"],
+        {"command": "landscape", "a0": None, "a0_mod": None, "a0_arg": 0.0, "n": None,
+         "input": None, "r": 0.5, "grid": 4096, "reciprocal": False, "output": None},
+    ),
+}
+
+
+class TestSurface:
+    """Pins every subcommand's flags, destinations and defaults."""
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_namespace_of_minimal_argv(self, command):
+        argv, _, expected = SURFACE[command]
+        fields = vars(build_parser().parse_args(argv))
+        assert {k: v for k, v in fields.items() if not callable(v)} == expected
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_each_required_flag_is_required(self, command):
+        argv, required, _ = SURFACE[command]
+        for flag in required:
+            i = argv.index(flag)
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv[:i] + argv[i + 2:])
+            assert exc.value.code == 2, flag
+
+    def test_landscape_has_no_format(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(SURFACE["landscape"][0] + ["--format", "json"])
+        assert exc.value.code == 2
 
 
 class TestEntryPoints:

@@ -165,6 +165,12 @@ class TestCheckMaxLemma:
         with pytest.raises(DomainError):
             check_max_lemma(ExampleFamily(0.8, 2), 2, 0.5j, tol=0.0)
 
+    @pytest.mark.parametrize("check", [check_min_theorem, check_max_lemma])
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_rejects_non_finite_tolerance(self, check, tol):
+        with pytest.raises(DomainError):
+            check(ExampleFamily(0.8, 2), 2, 0.5j, tol=tol)
+
 
 class TestCheckMinTheorem:
     def test_example_family_real_case(self):
