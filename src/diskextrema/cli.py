@@ -376,6 +376,10 @@ def _validate(args: argparse.Namespace) -> None:
             raise DomainError("landscape needs either --input or --a0/--n family flags")
         if args.a0 is not None and args.n is None:
             raise DomainError("landscape family flags need --n")
+        if args.input is not None and args.n is not None:
+            raise DomainError("landscape --input takes no --n")
+    if "a0_mod" in args and args.a0_mod is None and args.a0_arg != 0.0:
+        raise DomainError("--a0-arg applies only with --a0-mod")
 
 
 def main(argv: list[str] | None = None) -> int:

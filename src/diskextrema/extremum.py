@@ -29,10 +29,12 @@ two-step bracket ``2 * TAU / grid`` as its width.
 
 Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
-so is the minimum when the function has no zeros there.  The disk
-searches verify that reduction against a coarse 2-D sample (64 circles
-of 256 points, one ``on_circles`` call, plus the origin) and report a
-misuse diagnostic when it fails.
+so is the minimum when the function has no zeros there.  The minimum
+search screens for zeros with a coarse 2-D sample (64 circles of 256
+points, one ``on_circles`` call, plus the origin).  The maximum search
+needs no screen; it checks its result against the origin and one
+256-point boundary ring, which catches a coarse grid that missed the
+peak and functions that are not analytic.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     ZeroInDisk,
     ZeroOnCircle,
 )
-from .functions import TAU, AnalyticFunction
+from .functions import TAU, AnalyticFunction, _require_radius
 from .lemma import ZERO_THRESHOLD
 
 #: Coarse angular grid; resolves minimizer basins for class indices up to ~512.
@@ -78,8 +80,7 @@ class ExtremumResult:
 
 def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) -> np.ndarray:
     """``(samples, 2)`` array of rows ``(theta_k, |f(r e^{i theta_k})|)`` on a uniform grid."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"circle radius must lie in (0, 1), got {r}")
+    _require_radius(r)
     if samples < 8:
         raise DomainError(f"need at least 8 samples, got {samples}")
     thetas = TAU * np.arange(samples) / samples
@@ -179,12 +180,6 @@ def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) 
     return _search_circle(f, r, grid, minimize=False)
 
 
-def _interior_moduli(f: AnalyticFunction, r: float) -> np.ndarray:
-    radii = r * np.arange(1, 65) / 64.0
-    flat = np.abs(f.on_circles(radii, 256)).ravel()
-    return np.concatenate(([abs(complex(f.value(0j)))], flat))
-
-
 def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
     """Minimize |f| over the closed disk ``|z| <= r``.
 
@@ -192,10 +187,9 @@ def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     circle, so the search delegates there; a coarse 64 x 256 interior
     sample both screens for zeros and cross-checks the reduction.
     """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"disk radius must lie in (0, 1), got {r}")
-    samples = _interior_moduli(f, r)
-    low = float(samples.min())
+    _require_radius(r)
+    interior = np.abs(f.on_circles(r * np.arange(1, 65) / 64.0, 256))
+    low = float(np.append(interior, abs(complex(f.value(0j)))).min())
     if low < ZERO_THRESHOLD:
         raise ZeroInDisk(f"|f| = {low:.3e} at an interior sample; f vanishes on |z| <= {r}")
     result = find_min_on_circle(f, r, grid)
@@ -207,11 +201,14 @@ def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
 
 
 def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary)."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"disk radius must lie in (0, 1), got {r}")
-    samples = _interior_moduli(f, r)
-    high = float(samples.max())
+    """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary).
+
+    The result must reach |f| at the origin and on a 256-point boundary
+    ring; a grid that missed the peak, or a non-analytic f, falls short.
+    """
+    _require_radius(r)
+    ring = np.abs(f.on_circles([r], 256))
+    high = float(np.append(ring, abs(complex(f.value(0j)))).max())
     result = find_max_on_circle(f, r, grid)
     if result.value < high - INTERIOR_TOL:
         raise InteriorAboveBoundary(

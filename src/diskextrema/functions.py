@@ -60,7 +60,6 @@ class AnalyticFunction(ABC):
 
     a0: complex
     n: int
-    label: str
 
     @abstractmethod
     def value(self, z): ...
@@ -94,13 +93,12 @@ class AnalyticFunction(ABC):
 class SeriesFunction(AnalyticFunction):
     """Evaluation interface over a truncated power series."""
 
-    def __init__(self, series: PowerSeries, label: str | None = None):
+    def __init__(self, series: PowerSeries):
         self.series = series
         self._d1 = series.differentiate()
         self._d2 = self._d1.differentiate()
         self.a0 = series.a0
         self.n = series.n
-        self.label = label or f"series(n={series.n}, N={series.order})"
 
     def value(self, z):
         return self.series(z)
@@ -162,7 +160,6 @@ class ExampleFamily(AnalyticFunction):
         self.a0 = a0
         self.n = int(n)
         self.u = a0 / abs(a0)
-        self.label = f"mobius(a0={a0}, n={n})"
 
     def value(self, z):
         _require_in_disk(z)
@@ -237,7 +234,7 @@ class ExpSeriesFunction(AnalyticFunction):
     exponential, so no truncation zeros can sneak in.
     """
 
-    def __init__(self, a0: complex, h: PowerSeries, label: str | None = None):
+    def __init__(self, a0: complex, h: PowerSeries):
         if h.a0 != 0:
             raise DomainError("exponent series must have zero constant term")
         a0 = complex(a0)
@@ -248,7 +245,6 @@ class ExpSeriesFunction(AnalyticFunction):
         self.h = h
         self._h1 = h.differentiate()
         self._h2 = self._h1.differentiate()
-        self.label = label or f"{a0} * exp(poly(n={h.n}, N={h.order}))"
 
     def value(self, z):
         return self.a0 * np.exp(self.h(z))
@@ -281,7 +277,6 @@ class Reciprocal(AnalyticFunction):
         self.inner = inner
         self.a0 = 1.0 / complex(inner.a0)
         self.n = inner.n
-        self.label = f"1/({inner.label})"
 
     def value(self, z):
         return 1.0 / self.inner.value(z)

@@ -47,7 +47,10 @@ class TrialOutcome:
     params: TrialFunction
     min_report: LemmaReport
     max_report: LemmaReport
-    duality_gap: float
+
+    @property
+    def duality_gap(self) -> float:
+        return abs(self.min_report.m - self.max_report.m)
 
     @property
     def passed(self) -> bool:
@@ -89,12 +92,7 @@ def run_trial(seed: int, index: int, tol: float = DEFAULT_TOL, grid: int = DEFAU
     min_report = check_min_theorem(f, params.n, located_min.z0, tol)
     located_max = find_max_on_disk(g, params.r, grid)
     max_report = check_max_lemma(g, params.n, located_max.z0, tol)
-    return TrialOutcome(
-        params=params,
-        min_report=min_report,
-        max_report=max_report,
-        duality_gap=abs(min_report.m - max_report.m),
-    )
+    return TrialOutcome(params=params, min_report=min_report, max_report=max_report)
 
 
 @dataclass(frozen=True)
@@ -102,10 +100,13 @@ class SweepSummary:
     trials: int
     seed: int
     tolerance: float
-    failures: int
     max_duality_gap: float
     worst_margins: dict[str, float]
     failed: list[TrialOutcome]
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed)
 
     @property
     def passed(self) -> bool:
@@ -116,7 +117,6 @@ def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFA
     """Run ``trials`` independent trials and aggregate in index order."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    failures = 0
     failed: list[TrialOutcome] = []
     max_gap = 0.0
     worst = {name: np.inf for name in LINK_NAMES}
@@ -128,14 +128,12 @@ def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFA
                 if link.margin is not None:
                     worst[name] = min(worst[name], link.margin)
         if not outcome.passed:
-            failures += 1
             failed.append(outcome)
     clean = {name: (None if np.isinf(value) else float(value)) for name, value in worst.items()}
     return SweepSummary(
         trials=trials,
         seed=seed,
         tolerance=tol,
-        failures=failures,
         max_duality_gap=max_gap,
         worst_margins=clean,
         failed=failed,

@@ -81,7 +81,6 @@ class Rotated(AnalyticFunction):
         self._w = complex(np.exp(1j * self.phi))
         self.a0 = inner.a0
         self.n = inner.n
-        self.label = f"rotate({inner.label}, {self.phi})"
 
     def value(self, z):
         return self.inner.value(self._w * z)

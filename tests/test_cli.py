@@ -326,6 +326,21 @@ class TestSurface:
             build_parser().parse_args(SURFACE["landscape"][0] + ["--format", "json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["example", "--a0", "0.8", "--a0-arg", "1.0", "--n", "2", "--r", "0.5"],
+            ["landscape", "--input", "{input}", "--n", "7", "--r", "0.5"],
+            ["landscape", "--input", "{input}", "--a0-arg", "2", "--r", "0.5"],
+        ],
+    )
+    def test_flags_that_do_not_apply_are_rejected(self, argv, family_truncation_file):
+        argv = [arg.format(input=family_truncation_file) for arg in argv]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestEntryPoints:
     def test_argparse_usage_error_is_exit_2(self):

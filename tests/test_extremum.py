@@ -205,7 +205,6 @@ class _NotAnalytic(AnalyticFunction):
 
     a0 = 2.0 + 0j
     n = 1
-    label = "bump"
 
     def value(self, z):
         z = np.asarray(z)
@@ -229,6 +228,26 @@ class TestFindMaxOnDisk:
     def test_interior_above_boundary_diagnostic(self):
         with pytest.raises(InteriorAboveBoundary):
             find_max_on_disk(_NotAnalytic(), 0.5)
+
+    def test_samples_no_interior_circles(self):
+        # the maximum sits on the boundary, so the search samples the circle
+        # grid and one boundary ring, never a stack of interior circles
+        radii_per_call = []
+
+        class Spy(Reciprocal):
+            def on_circles(self, radii, samples):
+                radii_per_call.append(len(radii))
+                return super().on_circles(radii, samples)
+
+        find_max_on_disk(Spy(ExampleFamily(0.8, 2)), 0.5)
+        assert radii_per_call and max(radii_per_call) == 1
+
+    def test_boundary_ring_catches_grid_miss(self):
+        # z^8 is the same at the 8 grid points, so the grid sees a flat |f|
+        # and misses the peak at theta = -0.7/8 that the 256-point ring hits
+        f = SeriesFunction(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
+        with pytest.raises(InteriorAboveBoundary):
+            find_max_on_disk(f, 0.9, grid=8)
 
     def test_max_allows_zeros_inside(self):
         # f(z) = z vanishes at the center; the max search must not care
