@@ -8,6 +8,8 @@ extrema -- in the maximum case for any non-constant analytic f, and in
 the minimum case for zero-free f via the reciprocal duality ``g = 1/f``.
 """
 
+import types
+
 from .errors import (
     ConstantFunction,
     DegenerateModuli,
@@ -66,55 +68,9 @@ from .sweep import SweepSummary, TrialFunction, TrialOutcome, draw_trial, run_sw
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalyticFunction",
-    "ChainValues",
-    "ConstantFunction",
-    "DEFAULT_GRID",
-    "DEFAULT_ORDER",
-    "DEFAULT_TOL",
-    "DegenerateModuli",
-    "DiskExtremaError",
-    "DiskImage",
-    "DomainError",
-    "ExampleFamily",
-    "ExpSeriesFunction",
-    "ExtremumResult",
-    "InteriorAboveBoundary",
-    "InteriorBelowBoundary",
-    "LemmaReport",
-    "LinkCheck",
-    "MinPoint",
-    "PowerSeries",
-    "Reciprocal",
-    "SeriesFormatError",
-    "SeriesFunction",
-    "SweepSummary",
-    "TrialFunction",
-    "TrialOutcome",
-    "ZeroDenominator",
-    "ZeroDerivative",
-    "ZeroInDisk",
-    "ZeroOnCircle",
-    "check_max_lemma",
-    "check_min_theorem",
-    "draw_trial",
-    "exp_series",
-    "find_max_on_circle",
-    "find_max_on_disk",
-    "find_min_on_circle",
-    "find_min_on_disk",
-    "format_report",
-    "format_series",
-    "invert_series",
-    "log_derivative",
-    "mocanu_bounds",
-    "modulus_profile",
-    "parse_series",
-    "read_series",
-    "run_sweep",
-    "run_trial",
-    "schwarz_quantity",
-    "write_profile_csv",
-    "write_series",
-]
+#: Every public name above; the submodules themselves are not exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -3,11 +3,14 @@
 Four subcommands:
 
 * ``example``   -- reproduce the closed-form reference family end to end,
-                   printing closed vs numeric values side by side;
+                   reporting closed vs numeric values and their differences;
 * ``verify``    -- load a series literal file and run the min (or max)
                    chain check at the located disk extremum;
 * ``sweep``     -- seeded randomized falsification sweep;
 * ``landscape`` -- export a ``theta,modulus`` CSV of the circle profile.
+
+``example``, ``verify`` and ``sweep`` each build one JSON document; text
+mode prints it as ``key = value`` lines, with dotted keys for nested fields.
 
 Exit codes, stable across commands: 0 success, 1 a verified inequality
 failed, 2 usage/parse/precondition error.
@@ -38,7 +41,7 @@ from .extremum import (
     write_profile_csv,
 )
 from .functions import ExampleFamily, Reciprocal, SeriesFunction
-from .lemma import DEFAULT_TOL, check_max_lemma, check_min_theorem, format_report
+from .lemma import DEFAULT_TOL, check_max_lemma, check_min_theorem, format_doc
 from .lemma import format_value as _fmt
 from .series import read_series
 from .sweep import run_sweep
@@ -59,16 +62,14 @@ def _parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse complex number from {text!r}") from exc
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path is None:
+def _report(doc: dict, args: argparse.Namespace) -> None:
+    """Write ``doc`` as indented JSON or as ``key = value`` text, per ``--format``."""
+    text = json.dumps(doc, indent=2) + "\n" if args.format == "json" else format_doc(doc)
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output_path, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -103,45 +104,26 @@ def cmd_example(args: argparse.Namespace) -> int:
     diffs = {name: abs(closed - numeric) for name, closed, numeric in rows}
     ok = report.passed and all(d <= args.tol for d in diffs.values())
 
-    if args.format == "json":
-        doc = {
-            "command": "example",
-            "a0_re": family.a0.real,
-            "a0_im": family.a0.imag,
-            "n": args.n,
-            "r": r,
-            "tolerance": args.tol,
-            "image_center_re": center.real,
-            "image_center_im": center.imag,
-            "image_radius": radius,
-            "z0_closed_re": z0_closed.real,
-            "z0_closed_im": z0_closed.imag,
-            "theta_numeric": located.theta,
-            "closed": {name: closed for name, closed, _ in rows},
-            "numeric": {name: numeric for name, _, numeric in rows},
-            "abs_diff": diffs,
-            "report": report.to_dict(),
-            "passed": ok,
-        }
-        _emit(_json_doc(doc), args.output)
-    else:
-        lines = [
-            f"reference family: a0 = {_fmt(family.a0.real)} + {_fmt(family.a0.imag)}i, "
-            f"n = {args.n}, r = {_fmt(r)}",
-            f"image disk: center = {_fmt(center.real)} + {_fmt(center.imag)}i, "
-            f"radius = {_fmt(radius)}",
-            f"closed-form minimizer: z0 = {_fmt(z0_closed.real)} + {_fmt(z0_closed.imag)}i",
-            f"numeric minimizer: theta = {_fmt(located.theta)} "
-            f"(bracket {_fmt(located.bracket_width)})",
-            "",
-            f"{'quantity':<18}{'closed':<26}{'numeric':<26}abs_diff",
-        ]
-        for name, closed, numeric in rows:
-            lines.append(f"{name:<18}{_fmt(closed):<26}{_fmt(numeric):<26}{_fmt(diffs[name])}")
-        lines.append("")
-        lines.append(format_report(report).rstrip("\n"))
-        lines.append(f"verdict = {'pass' if ok else 'fail'}")
-        _emit("\n".join(lines) + "\n", args.output)
+    doc = {
+        "command": "example",
+        "a0_re": family.a0.real,
+        "a0_im": family.a0.imag,
+        "n": args.n,
+        "r": r,
+        "tolerance": args.tol,
+        "image_center_re": center.real,
+        "image_center_im": center.imag,
+        "image_radius": radius,
+        "z0_closed_re": z0_closed.real,
+        "z0_closed_im": z0_closed.imag,
+        "theta_numeric": located.theta,
+        "closed": {name: closed for name, closed, _ in rows},
+        "numeric": {name: numeric for name, _, numeric in rows},
+        "abs_diff": diffs,
+        "report": report.to_dict(),
+        "passed": ok,
+    }
+    _report(doc, args)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -162,28 +144,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         located = find_max_on_disk(f, args.r, args.grid)
         report = check_max_lemma(f, series.n, located.z0, args.tol)
 
-    if args.format == "json":
-        doc = {
-            "command": "verify",
-            "mode": args.mode,
-            "input": args.input,
-            "r": args.r,
-            "theta": located.theta,
-            "extremal_modulus": located.value,
-            "bracket_width": located.bracket_width,
-            "report": report.to_dict(),
-        }
-        _emit(_json_doc(doc), args.output)
-    else:
-        lines = [
-            f"series: {args.input} (a0 = {_fmt(series.a0.real)} + "
-            f"{_fmt(series.a0.imag)}i, n = {series.n}, N = {series.order})",
-            f"{args.mode} search on |z| <= {_fmt(args.r)}: "
-            f"theta = {_fmt(located.theta)}, modulus = {_fmt(located.value)}",
-            "",
-            format_report(report).rstrip("\n"),
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+    doc = {
+        "command": "verify",
+        "mode": args.mode,
+        "input": args.input,
+        "r": args.r,
+        "theta": located.theta,
+        "extremal_modulus": located.value,
+        "bracket_width": located.bracket_width,
+        "report": report.to_dict(),
+    }
+    _report(doc, args)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -210,45 +181,18 @@ def _trial_doc(outcome) -> dict:
 def cmd_sweep(args: argparse.Namespace) -> int:
     summary = run_sweep(args.trials, args.seed, args.tol, args.grid)
 
-    if args.format == "json":
-        doc = {
-            "command": "sweep",
-            "trials": summary.trials,
-            "seed": summary.seed,
-            "tolerance": summary.tolerance,
-            "failures": summary.failures,
-            "max_duality_gap": summary.max_duality_gap,
-            "worst_margins": summary.worst_margins,
-            "failed": [_trial_doc(out) for out in summary.failed],
-            "passed": summary.passed,
-        }
-        _emit(_json_doc(doc), args.output)
-    else:
-        lines = [
-            f"trials = {summary.trials}",
-            f"seed = {summary.seed}",
-            f"tolerance = {_fmt(summary.tolerance)}",
-            f"failures = {summary.failures}",
-            f"max_duality_gap = {_fmt(summary.max_duality_gap)}",
-        ]
-        for name, margin in summary.worst_margins.items():
-            lines.append(f"worst_margin.{name} = {_fmt(margin)}")
-        for outcome in summary.failed:
-            p = outcome.params
-            lines.append("")
-            lines.append(
-                f"FAILED trial {p.index} (seed = {summary.seed}): "
-                f"a0 = {_fmt(p.a0.real)} + {_fmt(p.a0.imag)}i, n = {p.n}, r = {_fmt(p.r)}"
-            )
-            lines.append("exponent coefficients (k re im):")
-            for k, c in zip(range(p.exponent.n, p.exponent.order + 1), p.exponent.coeffs):
-                lines.append(f"  {k} {_fmt(c.real)} {_fmt(c.imag)}")
-            for tag, report in (("min", outcome.min_report), ("max", outcome.max_report)):
-                lines.append(f"[{tag} report]")
-                lines.append(format_report(report).rstrip("\n"))
-            lines.append(f"duality_gap = {_fmt(outcome.duality_gap)}")
-        lines.append(f"verdict = {'pass' if summary.passed else 'fail'}")
-        _emit("\n".join(lines) + "\n", args.output)
+    doc = {
+        "command": "sweep",
+        "trials": summary.trials,
+        "seed": summary.seed,
+        "tolerance": summary.tolerance,
+        "failures": summary.failures,
+        "max_duality_gap": summary.max_duality_gap,
+        "worst_margins": summary.worst_margins,
+        "failed": [_trial_doc(out) for out in summary.failed],
+        "passed": summary.passed,
+    }
+    _report(doc, args)
     return EXIT_OK if summary.passed else EXIT_CHECK_FAILED
 
 

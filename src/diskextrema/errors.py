@@ -34,7 +34,10 @@ class InteriorBelowBoundary(DiskExtremaError):
 
 
 class InteriorAboveBoundary(DiskExtremaError):
-    """An interior sample exceeds the boundary maximum (misuse diagnostic)."""
+    """A boundary-ring or origin sample exceeds the located maximum.
+
+    The circle grid missed the peak, or the supplied function is not analytic.
+    """
 
 
 class ZeroDenominator(DiskExtremaError):

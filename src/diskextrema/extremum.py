@@ -212,6 +212,7 @@ def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     result = find_max_on_circle(f, r, grid)
     if result.value < high - INTERIOR_TOL:
         raise InteriorAboveBoundary(
-            f"interior sample {high:.17g} exceeds boundary maximum {result.value:.17g}"
+            f"boundary ring or origin sample {high:.17g} "
+            f"exceeds located maximum {result.value:.17g}"
         )
     return result

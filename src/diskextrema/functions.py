@@ -70,6 +70,10 @@ class AnalyticFunction(ABC):
     @abstractmethod
     def deriv2(self, z): ...
 
+    @abstractmethod
+    def is_constant(self, tol: float = 1e-15) -> bool:
+        """True when f is numerically indistinguishable from its value ``a0``."""
+
     def on_circles(self, radii, samples: int) -> np.ndarray:
         """Values at ``radii[j] * e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
 
@@ -77,17 +81,6 @@ class AnalyticFunction(ABC):
         ``value`` at those points.
         """
         return self.value(np.asarray(radii, dtype=np.float64)[:, None] * _unit_circle(samples))
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
-        """Numerical constancy test.
-
-        Samples ``f(z) - f(0)`` on the circle ``|z| = 1/2``.  Sampling the
-        modulus alone would misclassify monomials (``|c z^k|`` is constant
-        on every circle), so the complex values are compared.
-        """
-        z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
-        spread = np.max(np.abs(self.value(z) - self.value(0j)))
-        return bool(spread <= tol * max(1.0, abs(self.a0)))
 
 
 class SeriesFunction(AnalyticFunction):

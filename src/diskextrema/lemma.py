@@ -158,15 +158,24 @@ def format_value(value) -> str:
     return str(value)
 
 
+def format_doc(doc, prefix: str = "") -> str:
+    """Flat ``key = value`` text, one line per leaf in document order.
+
+    Nested keys join with dots and list items are keyed by their index, as
+    in ``failed.0.min_report.m``; values go through :func:`format_value`.
+    """
+    lines = []
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            lines.append(format_doc(value, f"{prefix}{key}."))
+        else:
+            lines.append(f"{prefix}{key} = {format_value(value)}\n")
+    return "".join(lines)
+
+
 def format_report(report: LemmaReport) -> str:
     """Flat ``key = value`` text rendering with 17 significant digits."""
-    doc = report.to_dict()
-    checks = doc.pop("checks")
-    lines = [f"{key} = {format_value(value)}" for key, value in doc.items()]
-    for name, fields in checks.items():
-        for key, value in fields.items():
-            lines.append(f"checks.{name}.{key} = {format_value(value)}")
-    return "\n".join(lines) + "\n"
+    return format_doc(report.to_dict())
 
 
 def _link(margin: float, tol: float) -> LinkCheck:

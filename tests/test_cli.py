@@ -11,6 +11,7 @@ import pytest
 import diskextrema
 from diskextrema import PowerSeries, write_series
 from diskextrema.cli import build_parser, main
+from diskextrema.lemma import format_doc
 
 
 DEMO_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
@@ -33,6 +34,11 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def text_fields(out: str) -> dict:
+    """The ``key = value`` lines of a text report, as a dict."""
+    return dict(line.split(" = ", 1) for line in out.splitlines())
+
+
 @pytest.fixture
 def family_truncation_file(tmp_path):
     """0.8 + z^2 + z^4, the degree-4 truncation of the reference family."""
@@ -45,8 +51,11 @@ class TestExampleCommand:
     def test_real_parameters_pass(self):
         code, out, _ = run_cli(["example", "--a0", "0.8", "--n", "2", "--r", "0.5"])
         assert code == 0
-        assert "verdict = pass" in out
-        assert "0.6000000000000" in out  # the closed-form minimum 0.6
+        assert out.splitlines()[-1] == "passed = true"
+        fields = text_fields(out)
+        # the closed-form minimum 0.6, and the located one
+        assert fields["closed.min_modulus"].startswith("0.6000000000000")
+        assert fields["numeric.min_modulus"].startswith("0.6000000000000")
 
     def test_small_a0_rejected(self):
         code, _, err = run_cli(["example", "--a0", "0.4", "--n", "2", "--r", "0.5"])
@@ -58,8 +67,10 @@ class TestExampleCommand:
             ["example", "--a0-mod", "0.9", "--a0-arg", "1.0471975512", "--n", "3", "--r", "0.7"]
         )
         assert code == 0
-        assert "verdict = pass" in out
-        assert "0.64460163812" in out
+        assert out.splitlines()[-1] == "passed = true"
+        fields = text_fields(out)
+        assert fields["closed.min_modulus"].startswith("0.64460163812")
+        assert fields["numeric.min_modulus"].startswith("0.64460163812")
         # minimizers on a rounding-flat bottom of |f|: the located angle must
         # stay within tolerance of the closed form
         for mod, arg, n, r in (
@@ -71,7 +82,7 @@ class TestExampleCommand:
                 ["example", "--a0-mod", mod, "--a0-arg", arg, "--n", n, "--r", r]
             )
             assert code == 0, (mod, arg, n, r)
-            assert "verdict = pass" in out
+            assert out.splitlines()[-1] == "passed = true"
 
     def test_json_output(self):
         code, out, _ = run_cli(
@@ -92,7 +103,7 @@ class TestExampleCommand:
         for form in ("0.6+0.4j", "0.6,0.4"):
             code, out, _ = run_cli(["example", "--a0", form, "--n", "1", "--r", "0.3"])
             assert code == 0, form
-            assert "verdict = pass" in out
+            assert out.splitlines()[-1] == "passed = true"
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"
@@ -108,10 +119,10 @@ class TestVerifyCommand:
     def test_truncated_family_min_mode(self, family_truncation_file):
         code, out, _ = run_cli(["verify", "--input", family_truncation_file, "--r", "0.5"])
         assert code == 0
-        assert "passed = true" in out
+        fields = text_fields(out)
+        assert fields["report.passed"] == "true"
         # the truncated polynomial's own minimum: f(0.5i) = 0.6125, m = 0.25/0.6125
-        m_line = next(line for line in out.splitlines() if line.startswith("m = "))
-        assert float(m_line.split(" = ")[1]) == pytest.approx(0.25 / 0.6125, abs=1e-9)
+        assert float(fields["report.m"]) == pytest.approx(0.25 / 0.6125, abs=1e-9)
 
     def test_higher_truncation_approaches_family_ratio(self, tmp_path):
         # at degree 16 the tail perturbation is ~1e-4, inside the 2e-3 budget
@@ -120,8 +131,7 @@ class TestVerifyCommand:
         write_series(PowerSeries(0.8, 2, coeffs), path)
         code, out, _ = run_cli(["verify", "--input", str(path), "--r", "0.5"])
         assert code == 0
-        m_line = next(line for line in out.splitlines() if line.startswith("m = "))
-        assert float(m_line.split(" = ")[1]) == pytest.approx(8.0 / 15.0, abs=2e-3)
+        assert float(text_fields(out)["report.m"]) == pytest.approx(8.0 / 15.0, abs=2e-3)
 
     def test_constant_series_rejected(self, tmp_path):
         path = tmp_path / "const.txt"
@@ -171,7 +181,7 @@ class TestVerifyCommand:
             ["verify", "--input", family_truncation_file, "--r", "0.5", "--tol", "1e-18"]
         )
         assert code == 1
-        assert "passed = false" in out
+        assert text_fields(out)["report.passed"] == "false"
 
     @pytest.mark.parametrize(
         "flags",
@@ -188,8 +198,8 @@ class TestSweepCommand:
     def test_small_sweep_passes(self):
         code, out, _ = run_cli(["sweep", "--trials", "3", "--seed", "42"])
         assert code == 0
-        assert "failures = 0" in out
-        assert "verdict = pass" in out
+        assert text_fields(out)["failures"] == "0"
+        assert out.splitlines()[-1] == "passed = true"
 
     def test_byte_identical_reruns(self):
         first = run_cli(["sweep", "--trials", "5", "--seed", "7"])
@@ -213,10 +223,30 @@ class TestSweepCommand:
         # exercises the exit-1 path and the appended per-trial report
         code, out, _ = run_cli(["sweep", "--trials", "2", "--seed", "1", "--tol", "1e-18"])
         assert code == 1
-        assert "verdict = fail" in out
-        assert "FAILED trial" in out
-        assert "exponent coefficients" in out
-        assert "[min report]" in out and "[max report]" in out
+        assert out.splitlines()[-1] == "passed = false"
+        fields = text_fields(out)
+        assert fields["failed.0.index"] == "0"
+        assert "failed.0.exponent_coefficients.0.0" in fields
+        assert fields["failed.0.min_report.case"] == "min"
+        assert fields["failed.0.max_report.case"] == "max"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "--a0", "0.8", "--n", "2", "--r", "0.5"],
+        ["verify", "--input", "{input}", "--r", "0.5", "--mode", "min"],
+        ["verify", "--input", "{input}", "--r", "0.5", "--mode", "max"],
+        ["sweep", "--trials", "3", "--seed", "42"],
+        ["sweep", "--trials", "2", "--seed", "1", "--tol", "1e-18"],
+    ],
+)
+def test_text_report_renders_the_json_document(argv, family_truncation_file):
+    argv = [arg.format(input=family_truncation_file) for arg in argv]
+    text_code, text, _ = run_cli(argv)
+    json_code, doc, _ = run_cli(argv + ["--format", "json"])
+    assert text_code == json_code
+    assert text == format_doc(json.loads(doc))
 
 
 class TestLandscapeCommand:
@@ -358,7 +388,7 @@ class TestEntryPoints:
             env={**os.environ, "PYTHONPATH": child_pythonpath()},
         )
         assert proc.returncode == 0
-        assert "verdict = pass" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "passed = true"
 
     @pytest.mark.parametrize("demo", DEMOS)
     def test_demo_runs_from_checkout(self, demo):

@@ -246,7 +246,9 @@ class TestFindMaxOnDisk:
         # z^8 is the same at the 8 grid points, so the grid sees a flat |f|
         # and misses the peak at theta = -0.7/8 that the 256-point ring hits
         f = SeriesFunction(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
-        with pytest.raises(InteriorAboveBoundary):
+        with pytest.raises(
+            InteriorAboveBoundary, match="^boundary ring or origin sample .* exceeds located maximum"
+        ):
             find_max_on_disk(f, 0.9, grid=8)
 
     def test_max_allows_zeros_inside(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diskextrema import (
+    AnalyticFunction,
     DomainError,
     ExampleFamily,
     ExpSeriesFunction,
@@ -239,6 +240,14 @@ class TestWrappers:
     def test_reciprocal_rejects_vanishing_origin(self):
         with pytest.raises(DomainError):
             Reciprocal(SeriesFunction(PowerSeries(0.0, 1, [1.0])))
+
+    def test_is_constant_has_no_default(self):
+        class ValuesOnly(AnalyticFunction):
+            a0, n = 1.0 + 0j, 1
+            value = deriv1 = deriv2 = staticmethod(lambda z: z)
+
+        with pytest.raises(TypeError, match="is_constant"):
+            ValuesOnly()
 
     def test_rotated_values(self, rng):
         fam = ExampleFamily(0.9 * np.exp(1j * np.pi / 3), 3)

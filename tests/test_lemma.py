@@ -26,6 +26,7 @@ from diskextrema import (
     mocanu_bounds,
     schwarz_quantity,
 )
+from diskextrema.lemma import format_doc
 from conftest import Rotated
 from test_extremum import random_exp_function
 
@@ -286,6 +287,12 @@ class TestReportStructure:
         assert keys[:6] == ["case", "n", "z0_re", "z0_im", "f_z0_re", "f_z0_im"]
         assert "checks.im_residual.passed" in keys
         assert lines[keys.index("m")].split(" = ")[1] == format(report.m, ".17g")
+
+    def test_format_doc_flattens_dicts_and_lists(self):
+        doc = {"a": 1, "b": {"c": [0.1, None], "d": []}, "e": [{"f": True}]}
+        assert format_doc(doc) == (
+            "a = 1\nb.c.0 = 0.10000000000000001\nb.c.1 = null\ne.0.f = true\n"
+        )
 
     def test_skipped_link_serializes_as_null(self):
         f = SeriesFunction(PowerSeries(0.8, 2, [1.0, -4.0 / 3.0]))

@@ -1,0 +1,24 @@
+import types
+
+import diskextrema
+
+#: The package's public names; adding or removing one is an API change.
+PUBLIC_NAMES = [
+    "AnalyticFunction", "ChainValues", "ConstantFunction", "DEFAULT_GRID", "DEFAULT_ORDER",
+    "DEFAULT_TOL", "DegenerateModuli", "DiskExtremaError", "DiskImage", "DomainError",
+    "ExampleFamily", "ExpSeriesFunction", "ExtremumResult", "InteriorAboveBoundary",
+    "InteriorBelowBoundary", "LemmaReport", "LinkCheck", "MinPoint", "PowerSeries", "Reciprocal",
+    "SeriesFormatError", "SeriesFunction", "SweepSummary", "TrialFunction", "TrialOutcome",
+    "ZeroDenominator", "ZeroDerivative", "ZeroInDisk", "ZeroOnCircle", "check_max_lemma",
+    "check_min_theorem", "draw_trial", "exp_series", "find_max_on_circle", "find_max_on_disk",
+    "find_min_on_circle", "find_min_on_disk", "format_report", "format_series", "invert_series",
+    "log_derivative", "mocanu_bounds", "modulus_profile", "parse_series", "read_series",
+    "run_sweep", "run_trial", "schwarz_quantity", "write_profile_csv", "write_series",
+]
+
+
+def test_all_lists_the_public_names_and_no_module():
+    assert diskextrema.__all__ == PUBLIC_NAMES
+    assert not any(
+        isinstance(getattr(diskextrema, name), types.ModuleType) for name in diskextrema.__all__
+    )
