@@ -26,10 +26,9 @@ class ZeroInDisk(DiskExtremaError):
 
 
 class InteriorBelowBoundary(DiskExtremaError):
-    """An interior sample undercuts the boundary minimum.
+    """A boundary-ring or origin sample undercuts the located minimum.
 
-    For an analytic function without zeros this cannot happen, so it is a
-    misuse diagnostic: the supplied function vanishes or is not analytic.
+    The circle grid missed the minimum, or the supplied function is not analytic.
     """
 
 

@@ -11,15 +11,21 @@ the tangential derivative of ``log |f|`` vanishes:
     d/dtheta log|f(r e^{i theta})| = -Im(z f'(z)/f(z)),  z = r e^{i theta}.
 
 Unlike |f| itself, which is quadratically flat there, this crosses zero
-linearly, so bisecting its sign change pins the extremal angle to about
-1e-13.  The bisection starts on the two grid steps around the grid
-winner.  When |f| varies by less than rounding between grid points the
-rounded moduli can pick a neighbour of the true extremum, so that
-bracket holds no sign change; the bracket then walks one grid step at a
-time the way the sign of the derivative points (right while it is still
-positive at the right end, left while it is negative at the left end),
-for at most half the grid.  The refinement runs on single points in
-scalar ``value``/``deriv1`` calls.  The bisected root is accepted when its
+linearly, so polishing its sign change pins the extremal angle to about
+1e-13.  The polish starts on the two grid steps around the grid winner.
+When |f| varies by less than rounding between grid points the rounded
+moduli can pick a neighbour of the true extremum, so that bracket holds
+no sign change; the bracket then walks one grid step at a time the way
+the sign of the derivative points (right while it is still positive at
+the right end, left while it is negative at the left end), for at most
+half the grid.  The polish is Illinois regula falsi (Dowell & Jarratt,
+BIT 1971): a secant step on the bracket, halving the derivative kept at
+an end that survives two steps in a row.  Each secant point is clamped
+half the target width inside the bracket, so a point that lands on the
+root still shrinks the bracket below the target on the next step, and
+two steps in a row that fail to halve the bracket are followed by a
+bisection.  The refinement runs on single points in scalar
+``value``/``deriv1`` calls.  The bracket midpoint is accepted when its
 modulus is no worse, up to rounding, than the grid winner's modulus
 re-evaluated by the same scalar ``value``, so both sides of the
 comparison come from one evaluator.  Otherwise (no sign change, e.g. for
@@ -30,11 +36,10 @@ two-step bracket ``2 * TAU / grid`` as its width.
 Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
 so is the minimum when the function has no zeros there.  The minimum
-search screens for zeros with a coarse 2-D sample (64 circles of 256
-points, one ``on_circles`` call, plus the origin).  The maximum search
-needs no screen; it checks its result against the origin and one
+search asks ``f.count_zeros`` for the zeros inside the circle first.
+Both disk searches check their result against the origin and one
 256-point boundary ring, which catches a coarse grid that missed the
-peak and functions that are not analytic.
+extremum and functions that are not analytic.
 """
 
 from __future__ import annotations
@@ -55,14 +60,14 @@ from .lemma import ZERO_THRESHOLD
 
 #: Coarse angular grid; resolves minimizer basins for class indices up to ~512.
 DEFAULT_GRID = 4096
-#: Angular bracket width at which the bisection stops.
+#: Angular bracket width at which the polish stops.
 POLISH_TARGET = 1e-13
-#: Iteration cap for the bisection.
+#: Iteration cap for the polish.
 MAX_ITERATIONS = 200
-#: Slack allowed when comparing boundary extrema against interior samples.
+#: Slack allowed when comparing located extrema against the origin and the boundary ring.
 INTERIOR_TOL = 1e-10
 
-#: Ulps by which the bisected root may miss the grid winner's modulus.
+#: Ulps by which the polished root may miss the grid winner's modulus.
 _ACCEPT_ULPS = 4
 
 
@@ -136,16 +141,31 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
             else:
                 break
         if glo > 0.0 > ghi:
+            kept = 0  # +1 when the last step kept hi, -1 when it kept lo
+            slow = 0  # steps in a row that did not halve the bracket
             while hi - lo > POLISH_TARGET and iterations < MAX_ITERATIONS:
                 iterations += 1
-                mid = 0.5 * (lo + hi)
-                gm = tangential(mid)
-                if gm > 0.0:
-                    lo = mid
-                elif gm < 0.0:
-                    hi = mid
+                width = hi - lo
+                bisect = slow >= 2
+                if bisect:
+                    t = 0.5 * (lo + hi)
                 else:
-                    lo = hi = mid
+                    t = lo + width * glo / (glo - ghi)
+                    t = min(max(t, lo + 0.5 * POLISH_TARGET), hi - 0.5 * POLISH_TARGET)
+                gt = tangential(t)
+                if gt > 0.0:
+                    lo, glo = t, gt
+                    if kept == 1:
+                        ghi *= 0.5
+                    kept = 1
+                elif gt < 0.0:
+                    hi, ghi = t, gt
+                    if kept == -1:
+                        glo *= 0.5
+                    kept = -1
+                else:
+                    lo = hi = t
+                slow = 0 if bisect or hi - lo <= 0.5 * width else slow + 1
             t_mid = (0.5 * (lo + hi)) % TAU
             v_mid = float(np.abs(f.value(r * np.exp(1j * t_mid))))
             if sign * (v_mid - value) <= _ACCEPT_ULPS * np.spacing(value):
@@ -184,18 +204,22 @@ def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     """Minimize |f| over the closed disk ``|z| <= r``.
 
     For a zero-free analytic function the minimum sits on the boundary
-    circle, so the search delegates there; a coarse 64 x 256 interior
-    sample both screens for zeros and cross-checks the reduction.
+    circle, so the search delegates there once ``f.count_zeros(r, grid)``
+    finds no zero inside.  The result must not exceed |f| at the origin
+    or on a 256-point boundary ring; a grid that missed the minimum, or a
+    non-analytic f, exceeds it.
     """
     _require_radius(r)
-    interior = np.abs(f.on_circles(r * np.arange(1, 65) / 64.0, 256))
-    low = float(np.append(interior, abs(complex(f.value(0j)))).min())
-    if low < ZERO_THRESHOLD:
-        raise ZeroInDisk(f"|f| = {low:.3e} at an interior sample; f vanishes on |z| <= {r}")
+    zeros = f.count_zeros(r, grid)
+    if zeros:
+        raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
+    ring = np.abs(f.on_circles([r], 256))
+    low = float(np.append(ring, abs(complex(f.value(0j)))).min())
     result = find_min_on_circle(f, r, grid)
     if result.value > low + INTERIOR_TOL:
         raise InteriorBelowBoundary(
-            f"interior sample {low:.17g} undercuts boundary minimum {result.value:.17g}"
+            f"boundary ring or origin sample {low:.17g} "
+            f"undercuts located minimum {result.value:.17g}"
         )
     return result
 

@@ -15,6 +15,12 @@ value and first two derivatives.  Implementations here:
 ``on_circles`` samples whole circles at once.  The default evaluates
 ``value`` at the grid points; the series-backed classes override it with
 the FFT of :meth:`PowerSeries.on_circles`.
+
+``count_zeros`` counts the zeros inside a circle, the hypothesis of every
+minimum-modulus statement.  The exponential, the reference family and the
+reciprocal have none by construction.  A series tries Rouche's theorem
+against its constant term and otherwise takes the winding number of its
+circle samples, on a grid fine enough that the winding is exact.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ from .errors import DomainError
 from .series import PowerSeries
 
 TAU = 2.0 * np.pi
+
+#: Relative rounding allowed in a tail sum or an FFT sample of a series.
+_ROUNDING = 64 * np.finfo(np.float64).eps
+#: Most circle samples a winding count may take; it also keeps the summed
+#: phase rounding, about ``M^2 * _ROUNDING``, far below pi.
+_WINDING_CAP = 1 << 20
 
 
 @lru_cache(maxsize=8)
@@ -74,6 +86,13 @@ class AnalyticFunction(ABC):
     def is_constant(self, tol: float = 1e-15) -> bool:
         """True when f is numerically indistinguishable from its value ``a0``."""
 
+    @abstractmethod
+    def count_zeros(self, r: float, samples: int) -> int:
+        """Number of zeros in ``|z| < r``, with multiplicity.
+
+        ``samples`` is the coarsest circle grid a sampling method may use.
+        """
+
     def on_circles(self, radii, samples: int) -> np.ndarray:
         """Values at ``radii[j] * e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
 
@@ -107,6 +126,40 @@ class SeriesFunction(AnalyticFunction):
 
     def is_constant(self, tol: float = 1e-15) -> bool:
         return self.series.is_constant(tol)
+
+    def count_zeros(self, r: float, samples: int) -> int:
+        """Rouche's theorem when ``|a0| > sum |a_k| r^k``, else the winding number on ``|z| = r``.
+
+        With ``M`` samples ``z_j`` the winding is exact once
+        ``(2 pi / M) sum k |a_k| r^k < min_j |f(z_j)|``: the sum bounds
+        ``r max |f'|``, so ``f`` stays in the disk of radius ``|f(z_j)|``
+        about ``f(z_j)`` between neighbours and each phase step is the
+        principal one.  ``M`` doubles from ``samples`` until that holds;
+        a circle that needs more than ``_WINDING_CAP`` samples raises
+        DomainError.  Both tests allow for the rounding of the sums.
+        """
+        _require_radius(r)
+        s = self.series
+        k = np.arange(s.n, s.order + 1)
+        terms = np.abs(s.coeffs) * r**k
+        tail = float(terms.sum())
+        noise = _ROUNDING * (abs(s.a0) + tail)
+        if tail + noise < abs(s.a0):
+            return 0
+        slope = float((k * terms).sum())
+        m = samples
+        while True:
+            values = self.on_circles([r], m)[0]
+            low = float(np.abs(values).min())
+            if TAU / m * slope + noise < low:
+                break
+            if TAU / _WINDING_CAP * slope + noise >= low:
+                raise DomainError(
+                    f"cannot count zeros in |z| < {r} with {_WINDING_CAP} samples: "
+                    f"min |f| on the circle is {low:.3e}"
+                )
+            m *= 2
+        return round(float(np.angle(np.roll(values, -1) / values).sum()) / TAU)
 
 
 class DiskImage(NamedTuple):
@@ -175,6 +228,9 @@ class ExampleFamily(AnalyticFunction):
 
     def is_constant(self, tol: float = 1e-15) -> bool:
         return False  # the z^n coefficient is u with |u| = 1
+
+    def count_zeros(self, r: float, samples: int) -> int:
+        return 0  # zeros only at |z|^n = |a0| / ||a0| - 1| > 1
 
     def image_disk(self, r: float) -> DiskImage:
         """The round disk onto which ``|z| <= r`` is mapped.
@@ -255,6 +311,9 @@ class ExpSeriesFunction(AnalyticFunction):
     def is_constant(self, tol: float = 1e-15) -> bool:
         return self.h.is_constant(tol)
 
+    def count_zeros(self, r: float, samples: int) -> int:
+        return 0  # exp never vanishes
+
 
 class Reciprocal(AnalyticFunction):
     """Pointwise ``1/f``; defined wherever ``f`` has no zeros.
@@ -288,3 +347,6 @@ class Reciprocal(AnalyticFunction):
 
     def is_constant(self, tol: float = 1e-15) -> bool:
         return self.inner.is_constant(tol)
+
+    def count_zeros(self, r: float, samples: int) -> int:
+        return 0  # 1/f never vanishes

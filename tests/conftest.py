@@ -94,6 +94,9 @@ class Rotated(AnalyticFunction):
     def is_constant(self, tol: float = 1e-15) -> bool:
         return self.inner.is_constant(tol)
 
+    def count_zeros(self, r: float, samples: int) -> int:
+        return self.inner.count_zeros(r, samples)
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

@@ -13,12 +13,14 @@ from diskextrema import (
     SeriesFunction,
     ZeroInDisk,
     ZeroOnCircle,
+    draw_trial,
     find_max_on_circle,
     find_max_on_disk,
     find_min_on_circle,
     find_min_on_disk,
     modulus_profile,
 )
+from diskextrema.extremum import POLISH_TARGET
 
 
 def constant(value: complex) -> SeriesFunction:
@@ -75,10 +77,20 @@ class TestFindMinOnCircle:
     def test_bracket_covers_true_minimizer(self):
         # |f| is flat to rounding over ~1e-8 rad around theta = pi, so only
         # the tangential derivative can locate the minimizer; halving the
-        # two grid steps 2 * pi / 2048 down to 1e-13 takes 35 bisections
+        # two grid steps 2 * pi / 2048 down to 1e-13 would take 35
+        # bisections, the secant steps take a handful
         res = find_min_on_circle(ExampleFamily(1.2 * np.exp(2j), 1), 0.5)
         assert abs(res.theta - np.pi) <= res.bracket_width
-        assert res.refine_iterations <= 45
+        assert res.refine_iterations <= 8
+
+    def test_root_on_the_secant_closes_the_bracket(self):
+        # the grid winner pi/2 is the exact minimizer and the bracket is
+        # symmetric about it, so the first secant point is the root; the
+        # clamp keeps the second point 5e-14 inside the bracket, which then
+        # closes below the target instead of shrinking toward one end
+        res = find_min_on_circle(ExampleFamily(0.8, 2), 0.5)
+        assert res.refine_iterations == 2
+        assert abs(res.theta - np.pi / 2) <= res.bracket_width <= POLISH_TARGET
 
     def test_bracket_walks_to_sign_change(self):
         # r^12 = 1e-13: |f| varies by less than rounding between grid points,
@@ -187,17 +199,86 @@ class TestFindMinOnDisk:
             assert find_max_on_disk(f, r).value >= abs(f.a0)
 
     def test_zero_in_disk(self):
-        # z - 0.35 vanishes exactly at an interior sample point of |z| <= 0.7
+        # z - 0.35 vanishes inside |z| <= 0.7; its winding number on the circle is 1
         f = SeriesFunction(PowerSeries(-0.35, 1, [1.0]))
         with pytest.raises(ZeroInDisk):
             find_min_on_disk(f, 0.7)
 
     def test_interior_below_boundary_diagnostic(self):
-        # an unsampled interior zero: the boundary minimum exceeds interior
-        # samples near the zero, which is impossible for zero-free analytic f
+        # z - 0.52 vanishes off every circle sample; the argument principle
+        # counts the zero without needing a sample near it
         f = SeriesFunction(PowerSeries(-0.52, 1, [1.0]))
-        with pytest.raises((InteriorBelowBoundary, ZeroInDisk)):
+        with pytest.raises(ZeroInDisk, match=r"^f vanishes in \|z\| < 0.7: 1 zero"):
             find_min_on_disk(f, 0.7)
+
+    def test_boundary_ring_catches_grid_miss(self):
+        # z^8 is the same at the 8 grid points, so the grid sees a flat |f|
+        # and misses the dip at theta = (pi - 0.7)/8 that the 256-point ring hits
+        f = SeriesFunction(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
+        with pytest.raises(
+            InteriorBelowBoundary, match="^boundary ring or origin sample .* undercuts located minimum"
+        ):
+            find_min_on_disk(f, 0.9, grid=8)
+
+    def test_samples_no_interior_circles(self):
+        # the zero count and the cross-check sample whole circles of radius
+        # r, never a stack of interior circles
+        radii_per_call = []
+
+        class Spy(SeriesFunction):
+            def on_circles(self, radii, samples):
+                radii_per_call.append(len(radii))
+                return super().on_circles(radii, samples)
+
+        # zeros at 1.1 and 1.3: Rouche fails on |z| = 0.9, so the winding samples
+        f = Spy(PowerSeries(1.43, 1, [-2.4, 1.0]))
+        assert find_min_on_disk(f, 0.9).value == pytest.approx(0.2 * 0.4, abs=1e-12)
+        assert len(radii_per_call) > 2 and max(radii_per_call) == 1
+
+
+def bisected_root(f, r: float, theta: float, sign: float, half_width: float = 1e-6) -> float:
+    """The sign change of ``sign * Im(z f'/f)`` near ``theta``, by plain bisection."""
+
+    def g(t):
+        z = complex(r * np.exp(1j * t))
+        return sign * (z * complex(f.deriv1(z)) / complex(f.value(z))).imag
+
+    lo, hi = theta - half_width, theta + half_width
+    assert g(lo) > 0.0 > g(hi)
+    while hi - lo > POLISH_TARGET / 16:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestPolish:
+    def test_agrees_with_bisection(self):
+        iterations = []
+        for index in range(100):
+            trial = draw_trial(5, index)
+            f = ExpSeriesFunction(trial.a0, trial.exponent)
+            searches = ((f, find_min_on_disk, 1.0), (Reciprocal(f), find_max_on_disk, -1.0))
+            for g, search, sign in searches:
+                res = search(g, trial.r)
+                assert res.bracket_width <= POLISH_TARGET
+                assert abs(res.theta - bisected_root(g, trial.r, res.theta, sign)) <= POLISH_TARGET
+                iterations.append(res.refine_iterations)
+        assert np.mean(iterations) <= 8
+
+    def test_scalar_derivative_calls_per_search(self):
+        # a timing-free guard on the polish: 35 bisection steps cost 37
+        # deriv1 calls per search, the secant steps about 7
+        calls = []
+
+        class Counting(ExpSeriesFunction):
+            def deriv1(self, z):
+                calls.append(z)
+                return super().deriv1(z)
+
+        for index in range(50):
+            trial = draw_trial(7, index)
+            find_min_on_disk(Counting(trial.a0, trial.exponent), trial.r)
+        assert len(calls) / 50 <= 10
 
 
 class _NotAnalytic(AnalyticFunction):
@@ -218,6 +299,9 @@ class _NotAnalytic(AnalyticFunction):
 
     def is_constant(self, tol: float = 1e-15) -> bool:
         return False
+
+    def count_zeros(self, r: float, samples: int) -> int:
+        return 0  # |f| >= 2 - r^2 > 1
 
 
 class TestFindMaxOnDisk:

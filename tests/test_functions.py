@@ -310,3 +310,68 @@ class TestOnCircles:
     def test_reciprocal_of_closed_form_is_exact(self):
         g = Reciprocal(ExampleFamily(0.8, 2))
         assert np.array_equal(g.on_circles(self.RADII, 16), g.value(self.points(16)))
+
+
+def product_series(zeros, scale: complex = 1.0) -> PowerSeries:
+    """``scale * prod (z - w)`` over the given zeros, as a series from index 1."""
+    coeffs = scale * np.poly(zeros)[::-1]  # ascending powers
+    return PowerSeries(coeffs[0], 1, coeffs[1:])
+
+
+class SampleSpy(SeriesFunction):
+    """Records the sample count of every ``on_circles`` call."""
+
+    def __init__(self, series: PowerSeries):
+        super().__init__(series)
+        self.samples: list[int] = []
+
+    def on_circles(self, radii, samples: int):
+        self.samples.append(samples)
+        return super().on_circles(radii, samples)
+
+
+class TestCountZeros:
+    def test_product_polynomials(self, rng):
+        # zeros on both sides of every circle; the count is the number inside
+        for _ in range(20):
+            moduli = rng.choice([0.15, 0.35, 0.55, 0.75, 1.2, 1.6, 2.5], size=4)
+            zeros = moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+            f = SeriesFunction(product_series(zeros, rng.uniform(0.5, 2.0)))
+            for r in (0.1, 0.25, 0.45, 0.65, 0.9):
+                assert f.count_zeros(r, 64) == int(np.sum(moduli < r))
+
+    def test_rouche_and_winding_agree(self):
+        # three zeros at modulus 1.25: Rouche settles small circles without
+        # sampling, the winding settles large ones; both must count none
+        zeros = 1.25 * np.exp(1j * np.array([0.4, 2.2, 4.1]))
+        for r, sampled in ((0.2, False), (0.95, True)):
+            f = SampleSpy(product_series(zeros))
+            assert f.count_zeros(r, 64) == 0
+            assert bool(f.samples) == sampled
+        # and with one zero moved inside, the winding counts it
+        f = SampleSpy(product_series(np.append(zeros[:2], 0.5)))
+        assert f.count_zeros(0.95, 64) == 1
+        assert f.samples
+
+    def test_zero_near_the_circle_forces_resampling(self):
+        # a zero 5e-4 outside or inside |z| = 0.5 at grid 8: the phase can
+        # jump between 8 samples, so the count must double the grid first
+        for modulus, inside in ((0.5 * (1 + 1e-3), 0), (0.5 * (1 - 1e-3), 1)):
+            f = SampleSpy(product_series([modulus * np.exp(0.3j), 2.0]))
+            assert f.count_zeros(0.5, 8) == inside
+            assert f.samples[0] == 8 and max(f.samples) >= 8 * 2**10
+
+    def test_cap_raises(self):
+        # a zero 1e-9 from the circle would need billions of samples
+        near = SeriesFunction(product_series([0.5 * (1 + 2e-9) * np.exp(0.3j), 2.0]))
+        with pytest.raises(DomainError, match="cannot count zeros"):
+            near.count_zeros(0.5, 8)
+        on = SeriesFunction(PowerSeries(-0.5, 1, [1.0]))  # z - 0.5 vanishes on a sample
+        with pytest.raises(DomainError, match="cannot count zeros"):
+            on.count_zeros(0.5, 8)
+
+    def test_zero_free_by_construction(self):
+        family = ExampleFamily(0.6 * np.exp(0.4j), 3)
+        exp = ExpSeriesFunction(0.55, PowerSeries(0.0, 1, [0.9, -0.6j, 0.5]))
+        for f in (family, exp, Reciprocal(family), Reciprocal(exp)):
+            assert f.count_zeros(0.95, 8) == 0

@@ -37,8 +37,9 @@ class TestRunTrial:
         assert outcome.duality_gap <= 1e-10
 
     def test_min_and_max_reports_agree_on_m(self):
-        # in the last input the max search's bisected root is 1 ulp worse
-        # than the grid value; it must still be kept over the grid point
+        # in the last input the max search's polished root and the grid
+        # winner differ by 1 ulp in modulus; the root must be kept over the
+        # grid point whichever side of the ulp it lands on
         cases = [(99, index) for index in range(5)] + [(4510362879286407517, 43)]
         for seed, index in cases:
             outcome = run_trial(seed, index)
