@@ -20,7 +20,7 @@ print(f"image of |z| <= {r}: disk centered {center:.6f}, radius {radius:.6f}")
 
 # Every point of the boundary circle |z| = r lands exactly on the image
 # circle; sample densely and measure the worst deviation.
-deviation = np.abs(np.abs(family.on_circles([r], 4096)[0] - center) - radius)
+deviation = np.abs(np.abs(family.on_circle(r, 4096) - center) - radius)
 print(f"worst boundary deviation over 4096 samples: {deviation.max():.3e}")
 
 # The minimum of |f| over the closed sub-disk, in closed form.
@@ -35,5 +35,7 @@ print(f"\nm       = {chain.m:.12f}")
 print(f"bound   = {chain.bound:.12f}   (strictly below m for this family)")
 print(f"schwarz = {chain.schwarz:.12f} (strictly above -m)")
 
-ratio = z0 * family.deriv1(z0) / family.value(z0)
+# jet gives f, f' and f'' at one point in one call.
+fz0, d1, _ = family.jet(z0)
+ratio = z0 * d1 / fz0
 print(f"\nz0 f'(z0)/f(z0) = {ratio:.12f}  (real and equal to -m)")

@@ -14,14 +14,15 @@
 # step at a time the way the derivative's sign points until it holds a
 # sign change (at most half the grid).
 #
-# The grid itself is one call of f.on_circles.  For a series-backed f,
+# The grid itself is one call of f.on_circle.  For a series-backed f,
 # the samples r e^{2 pi i k/M} turn the tail sum a_k r^k z^k into a
 # discrete Fourier sum, so one inverse FFT of the coefficients scaled by
 # r^k gives all M values; coefficients past index M fold into bin
 # k mod M, exactly, since e^{2 pi i jk/M} repeats with period M in k.
 # The closed-form family below uses the default, which evaluates
-# f.value at the grid points.  The refinement evaluates single points,
-# which a series runs in Python complex arithmetic.
+# f.value at the grid points.  The refinement evaluates single points:
+# each step reads f and f' from one f.jet call, which a series runs in
+# Python complex arithmetic.
 
 import io
 
@@ -48,7 +49,8 @@ print(f"  closed form says 0.6 at theta = pi/2 = {np.pi / 2:.15f}")
 
 # How extremal is the located point?  The log-derivative ratio there
 # should be real; its imaginary part measures the angular error.
-ratio = result.z0 * family.deriv1(result.z0) / family.value(result.z0)
+fz0, d1, _ = family.jet(result.z0)
+ratio = result.z0 * d1 / fz0
 print(f"  Im(z0 f'/f) at the minimizer: {ratio.imag:.2e}")
 
 # The disk search reduces to the boundary circle once f.count_zeros finds

@@ -19,7 +19,6 @@ from .errors import (
     InteriorBelowBoundary,
     SeriesFormatError,
     ZeroDenominator,
-    ZeroDerivative,
     ZeroInDisk,
     ZeroOnCircle,
 )
@@ -50,9 +49,7 @@ from .lemma import (
     check_max_lemma,
     check_min_theorem,
     format_report,
-    log_derivative,
     mocanu_bounds,
-    schwarz_quantity,
 )
 from .series import (
     DEFAULT_ORDER,

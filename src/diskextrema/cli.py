@@ -88,7 +88,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     located = find_min_on_disk(family, r, args.grid)
     report = check_min_theorem(family, args.n, located.z0, args.tol)
 
-    boundary_values = family.on_circles([r], 4096)[0]
+    boundary_values = family.on_circle(r, 4096)
     image_dev = float(np.max(np.abs(np.abs(boundary_values - center) - radius)))
     phase_residual = float(abs(np.exp(1j * args.n * located.theta) + 1.0))
 

@@ -43,9 +43,5 @@ class ZeroDenominator(DiskExtremaError):
     """f(z0) is numerically zero; the log-derivative ratio is undefined."""
 
 
-class ZeroDerivative(DiskExtremaError):
-    """f'(z0) is numerically zero; the curvature quantity is undefined."""
-
-
 class DegenerateModuli(DiskExtremaError):
     """|f(z0)| equals |f(0)| within tolerance; the lower bounds are 0/0."""

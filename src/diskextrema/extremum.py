@@ -1,7 +1,7 @@
 """Locate extrema of |f| on circles ``|z| = r`` and closed disks ``|z| <= r``.
 
 The search is a coarse uniform angular grid followed by one refinement
-stage.  The grid is sampled in one call of ``f.on_circles``: for a
+stage.  The grid is sampled in one call of ``f.on_circle``: for a
 series-backed function that is one inverse FFT of the coefficients
 scaled by ``r^k`` (folded modulo the grid size when the order exceeds
 it), for other functions a vectorized ``value`` call at the same points.
@@ -24,11 +24,11 @@ an end that survives two steps in a row.  Each secant point is clamped
 half the target width inside the bracket, so a point that lands on the
 root still shrinks the bracket below the target on the next step, and
 two steps in a row that fail to halve the bracket are followed by a
-bisection.  The refinement runs on single points in scalar
-``value``/``deriv1`` calls.  The bracket midpoint is accepted when its
-modulus is no worse, up to rounding, than the grid winner's modulus
-re-evaluated by the same scalar ``value``, so both sides of the
-comparison come from one evaluator.  Otherwise (no sign change, e.g. for
+bisection.  The refinement runs on single points: each step reads
+``f`` and ``f'`` from one ``f.jet`` call.  The bracket midpoint is
+accepted when its modulus is no worse, up to rounding, than the grid
+winner's modulus, both read by the scalar ``value``, so both sides of
+the comparison come from one evaluator.  Otherwise (no sign change, e.g. for
 constants; a rejected root; a sub-grid zero hit by a maximum search) the
 result is the grid winner itself, with its scalar modulus and the
 two-step bracket ``2 * TAU / grid`` as its width.
@@ -89,7 +89,7 @@ def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) 
     if samples < 8:
         raise DomainError(f"need at least 8 samples, got {samples}")
     thetas = TAU * np.arange(samples) / samples
-    return np.column_stack((thetas, np.abs(f.on_circles([r], samples)[0])))
+    return np.column_stack((thetas, np.abs(f.on_circle(r, samples))))
 
 
 def write_profile_csv(profile, fh) -> None:
@@ -118,10 +118,10 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     # g(theta) = sign * Im(z f'/f) crosses zero downward at the extremum.
     def tangential(t: float) -> float:
         z = r * np.exp(1j * (t % TAU))
-        v = f.value(z)
+        v, d1, _ = f.jet(z)
         if abs(v) <= ZERO_THRESHOLD:
             raise ZeroOnCircle(f"|f| = {abs(v):.3e} at theta = {t % TAU}")
-        return sign * float((z * f.deriv1(z) / v).imag)
+        return sign * float((z * d1 / v).imag)
 
     iterations = 0
     lo = theta - step
@@ -200,6 +200,32 @@ def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) 
     return _search_circle(f, r, grid, minimize=False)
 
 
+def _search_disk(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
+    _require_radius(r)
+    if minimize:
+        zeros = f.count_zeros(r, grid)
+        if zeros:
+            raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
+    samples = np.append(np.abs(f.on_circle(r, 256)), abs(complex(f.value(0j))))
+    if minimize:
+        edge = float(samples.min())
+        result = find_min_on_circle(f, r, grid)
+        if result.value > edge + INTERIOR_TOL:
+            raise InteriorBelowBoundary(
+                f"boundary ring or origin sample {edge:.17g} "
+                f"undercuts located minimum {result.value:.17g}"
+            )
+    else:
+        edge = float(samples.max())
+        result = find_max_on_circle(f, r, grid)
+        if result.value < edge - INTERIOR_TOL:
+            raise InteriorAboveBoundary(
+                f"boundary ring or origin sample {edge:.17g} "
+                f"exceeds located maximum {result.value:.17g}"
+            )
+    return result
+
+
 def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
     """Minimize |f| over the closed disk ``|z| <= r``.
 
@@ -209,19 +235,7 @@ def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     or on a 256-point boundary ring; a grid that missed the minimum, or a
     non-analytic f, exceeds it.
     """
-    _require_radius(r)
-    zeros = f.count_zeros(r, grid)
-    if zeros:
-        raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
-    ring = np.abs(f.on_circles([r], 256))
-    low = float(np.append(ring, abs(complex(f.value(0j)))).min())
-    result = find_min_on_circle(f, r, grid)
-    if result.value > low + INTERIOR_TOL:
-        raise InteriorBelowBoundary(
-            f"boundary ring or origin sample {low:.17g} "
-            f"undercuts located minimum {result.value:.17g}"
-        )
-    return result
+    return _search_disk(f, r, grid, minimize=True)
 
 
 def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
@@ -230,13 +244,4 @@ def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     The result must reach |f| at the origin and on a 256-point boundary
     ring; a grid that missed the peak, or a non-analytic f, falls short.
     """
-    _require_radius(r)
-    ring = np.abs(f.on_circles([r], 256))
-    high = float(np.append(ring, abs(complex(f.value(0j)))).max())
-    result = find_max_on_circle(f, r, grid)
-    if result.value < high - INTERIOR_TOL:
-        raise InteriorAboveBoundary(
-            f"boundary ring or origin sample {high:.17g} "
-            f"exceeds located maximum {result.value:.17g}"
-        )
-    return result
+    return _search_disk(f, r, grid, minimize=False)

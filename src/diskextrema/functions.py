@@ -2,7 +2,9 @@
 
 Everything downstream (extremum search, inequality checks) talks to an
 :class:`AnalyticFunction`: a function on the open unit disk exposing its
-value and first two derivatives.  Implementations here:
+values, and at a single point its jet ``(f, f', f'')`` in one call, so
+that shared work (``exp(h)``, an inner function's value, ``z^n``) is done
+once per point.  Implementations here:
 
 * :class:`SeriesFunction` -- backed by a truncated :class:`PowerSeries`;
 * :class:`ExampleFamily` -- the Mobius-of-``z^n`` family with closed-form
@@ -12,9 +14,9 @@ value and first two derivatives.  Implementations here:
 * :class:`Reciprocal` -- pointwise ``1/f``, the duality construction that
   turns minimum-modulus statements into maximum-modulus ones.
 
-``on_circles`` samples whole circles at once.  The default evaluates
+``on_circle`` samples a whole circle at once.  The default evaluates
 ``value`` at the grid points; the series-backed classes override it with
-the FFT of :meth:`PowerSeries.on_circles`.
+the FFT of :meth:`PowerSeries.on_circle`.
 
 ``count_zeros`` counts the zeros inside a circle, the hypothesis of every
 minimum-modulus statement.  The exponential, the reference family and the
@@ -64,10 +66,10 @@ def _require_radius(r: float) -> None:
 class AnalyticFunction(ABC):
     """A function analytic on the open unit disk, with two derivatives.
 
-    ``value``, ``deriv1`` and ``deriv2`` accept a complex scalar or a
-    numpy array and evaluate elementwise.  ``a0`` is the value at the
-    origin and ``n`` the index of the first Taylor coefficient past the
-    constant that may be nonzero.
+    ``value`` accepts a complex scalar or a numpy array and evaluates
+    elementwise.  ``jet`` takes a single point.  ``a0`` is the value at
+    the origin and ``n`` the index of the first Taylor coefficient past
+    the constant that may be nonzero.
     """
 
     a0: complex
@@ -77,13 +79,11 @@ class AnalyticFunction(ABC):
     def value(self, z): ...
 
     @abstractmethod
-    def deriv1(self, z): ...
+    def jet(self, z):
+        """``(f(z), f'(z), f''(z))`` at a single point; ``f(z)`` has the bits of ``value(z)``."""
 
     @abstractmethod
-    def deriv2(self, z): ...
-
-    @abstractmethod
-    def is_constant(self, tol: float = 1e-15) -> bool:
+    def is_constant(self) -> bool:
         """True when f is numerically indistinguishable from its value ``a0``."""
 
     @abstractmethod
@@ -93,13 +93,12 @@ class AnalyticFunction(ABC):
         ``samples`` is the coarsest circle grid a sampling method may use.
         """
 
-    def on_circles(self, radii, samples: int) -> np.ndarray:
-        """Values at ``radii[j] * e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
+    def on_circle(self, r: float, samples: int) -> np.ndarray:
+        """Values at ``r e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
 
-        Returns a ``(len(radii), samples)`` array; this default evaluates
-        ``value`` at those points.
+        This default evaluates ``value`` at those points.
         """
-        return self.value(np.asarray(radii, dtype=np.float64)[:, None] * _unit_circle(samples))
+        return self.value(r * _unit_circle(samples))
 
 
 class SeriesFunction(AnalyticFunction):
@@ -115,17 +114,14 @@ class SeriesFunction(AnalyticFunction):
     def value(self, z):
         return self.series(z)
 
-    def on_circles(self, radii, samples: int) -> np.ndarray:
-        return self.series.on_circles(radii, samples)
+    def on_circle(self, r: float, samples: int) -> np.ndarray:
+        return self.series.on_circle(r, samples)
 
-    def deriv1(self, z):
-        return self._d1(z)
+    def jet(self, z):
+        return self.series(z), self._d1(z), self._d2(z)
 
-    def deriv2(self, z):
-        return self._d2(z)
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
-        return self.series.is_constant(tol)
+    def is_constant(self) -> bool:
+        return self.series.is_constant()
 
     def count_zeros(self, r: float, samples: int) -> int:
         """Rouche's theorem when ``|a0| > sum |a_k| r^k``, else the winding number on ``|z| = r``.
@@ -149,7 +145,7 @@ class SeriesFunction(AnalyticFunction):
         slope = float((k * terms).sum())
         m = samples
         while True:
-            values = self.on_circles([r], m)[0]
+            values = self.on_circle(r, m)
             low = float(np.abs(values).min())
             if TAU / m * slope + noise < low:
                 break
@@ -212,21 +208,17 @@ class ExampleFamily(AnalyticFunction):
         w = z**self.n
         return self.a0 + self.u * w / (1.0 - w)
 
-    def deriv1(self, z):
+    def jet(self, z):
         _require_in_disk(z)
-        w = z**self.n
-        return self.u * self.n * z ** (self.n - 1) / (1.0 - w) ** 2
-
-    def deriv2(self, z):
-        _require_in_disk(z)
-        n = self.n
+        n, u = self.n, self.u
         w = z**n
-        tail = 2.0 * n * z ** (2 * (n - 1)) / (1.0 - w) ** 3
+        q = 1.0 - w
+        d2 = 2.0 * n * z ** (2 * (n - 1)) / q**3
         if n > 1:
-            tail = tail + (n - 1) * z ** (n - 2) / (1.0 - w) ** 2
-        return self.u * n * tail
+            d2 = d2 + (n - 1) * z ** (n - 2) / q**2
+        return self.a0 + u * w / q, u * n * z ** (n - 1) / q**2, u * n * d2
 
-    def is_constant(self, tol: float = 1e-15) -> bool:
+    def is_constant(self) -> bool:
         return False  # the z^n coefficient is u with |u| = 1
 
     def count_zeros(self, r: float, samples: int) -> int:
@@ -280,7 +272,8 @@ class ExpSeriesFunction(AnalyticFunction):
     is what makes them the right generator for randomized sweeps.  The
     value and both derivatives come from the closed form
     (``f' = f h'``, ``f'' = f (h'' + h'^2)``), not from a truncated
-    exponential, so no truncation zeros can sneak in.
+    exponential, so no truncation zeros can sneak in; ``jet`` takes
+    ``exp(h)`` once for all three.
     """
 
     def __init__(self, a0: complex, h: PowerSeries):
@@ -298,18 +291,16 @@ class ExpSeriesFunction(AnalyticFunction):
     def value(self, z):
         return self.a0 * np.exp(self.h(z))
 
-    def on_circles(self, radii, samples: int) -> np.ndarray:
-        return self.a0 * np.exp(self.h.on_circles(radii, samples))
+    def on_circle(self, r: float, samples: int) -> np.ndarray:
+        return self.a0 * np.exp(self.h.on_circle(r, samples))
 
-    def deriv1(self, z):
-        return self.value(z) * self._h1(z)
+    def jet(self, z):
+        f = self.a0 * np.exp(self.h(z))
+        h1 = self._h1(z)
+        return f, f * h1, f * (self._h2(z) + h1 * h1)
 
-    def deriv2(self, z):
-        d1 = self._h1(z)
-        return self.value(z) * (self._h2(z) + d1 * d1)
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
-        return self.h.is_constant(tol)
+    def is_constant(self) -> bool:
+        return self.h.is_constant()
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # exp never vanishes
@@ -333,20 +324,15 @@ class Reciprocal(AnalyticFunction):
     def value(self, z):
         return 1.0 / self.inner.value(z)
 
-    def on_circles(self, radii, samples: int) -> np.ndarray:
-        return 1.0 / self.inner.on_circles(radii, samples)
+    def on_circle(self, r: float, samples: int) -> np.ndarray:
+        return 1.0 / self.inner.on_circle(r, samples)
 
-    def deriv1(self, z):
-        v = self.inner.value(z)
-        return -self.inner.deriv1(z) / (v * v)
+    def jet(self, z):
+        v, d1, d2 = self.inner.jet(z)
+        return 1.0 / v, -d1 / (v * v), (2.0 * d1 * d1 / v - d2) / (v * v)
 
-    def deriv2(self, z):
-        v = self.inner.value(z)
-        d1 = self.inner.deriv1(z)
-        return (2.0 * d1 * d1 / v - self.inner.deriv2(z)) / (v * v)
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
-        return self.inner.is_constant(tol)
+    def is_constant(self) -> bool:
+        return self.inner.is_constant()
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # 1/f never vanishes

@@ -15,11 +15,13 @@ same chain holds for ``1/f``, which translates to
 ``z0 f'(z0)/f(z0) = -m`` and ``Re(z0 f''/f') + 1 >= -m`` with
 ``m >= n |a0 - f(z0)|^2 / (|a0|^2 - |f(z0)|^2) >= n (|a0| - |f(z0)|)/(|a0| + |f(z0)|)``.
 
-The checkers below evaluate every link of the appropriate chain at a
+The checkers below read ``f(z0)``, ``f'(z0)`` and ``f''(z0)`` from one
+``f.jet(z0)``, evaluate every link of the appropriate chain at the
 supplied extremal point and return a structured report.  ``m`` is taken
 as the real part of the ratio; the imaginary part is reported as a
 residual quantifying how extremal the supplied point really is, rather
-than being assumed to vanish.
+than being assumed to vanish.  Where ``f'(z0)`` vanishes the curvature
+quantity is undefined and its link is skipped.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .errors import (
     DegenerateModuli,
     DomainError,
     ZeroDenominator,
-    ZeroDerivative,
     ZeroInDisk,
 )
 from .functions import AnalyticFunction
@@ -40,26 +41,9 @@ from .functions import AnalyticFunction
 DEFAULT_TOL = 1e-8
 #: Moduli below this are treated as zeros of f (also by the extremum search).
 ZERO_THRESHOLD = 1e-13
-CONSTANT_TOL = 1e-15
 
 #: Fixed link order; serialization and text output follow it.
 LINK_NAMES = ("im_residual", "m_sign", "schwarz_vs_m", "m_vs_bound_sq", "bound_ordering")
-
-
-def log_derivative(f: AnalyticFunction, z0: complex) -> complex:
-    """``z0 f'(z0) / f(z0)``; real at interior-of-arc modulus extrema."""
-    v = complex(f.value(z0))
-    if abs(v) <= ZERO_THRESHOLD:
-        raise ZeroDenominator(f"|f(z0)| = {abs(v):.3e}; log-derivative ratio undefined")
-    return complex(z0 * complex(f.deriv1(z0)) / v)
-
-
-def schwarz_quantity(f: AnalyticFunction, z0: complex) -> float:
-    """``Re(z0 f''(z0)/f'(z0)) + 1``, the curvature-type quantity."""
-    d1 = complex(f.deriv1(z0))
-    if abs(d1) <= ZERO_THRESHOLD:
-        raise ZeroDerivative(f"|f'(z0)| = {abs(d1):.3e}; curvature quantity undefined")
-    return (complex(z0) * complex(f.deriv2(z0)) / d1).real + 1.0
 
 
 def mocanu_bounds(a0: complex, fz0: complex, n: int, case: str) -> tuple[float, float]:
@@ -185,19 +169,20 @@ def _link(margin: float, tol: float) -> LinkCheck:
 def _check_chain(f: AnalyticFunction, n: int, z0: complex, tol: float, case: str) -> LemmaReport:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if f.is_constant(CONSTANT_TOL):
+    if f.is_constant():
         raise ConstantFunction("the chain is vacuous for a constant function")
     z0 = complex(z0)
-    fz0 = complex(f.value(z0))
-    if case == "min" and abs(fz0) <= ZERO_THRESHOLD:
-        raise ZeroInDisk(f"|f(z0)| = {abs(fz0):.3e}; f vanishes at the claimed minimum")
-    ratio = log_derivative(f, z0)
+    fz0, d1, d2 = (complex(v) for v in f.jet(z0))
+    if abs(fz0) <= ZERO_THRESHOLD:
+        if case == "min":
+            raise ZeroInDisk(f"|f(z0)| = {abs(fz0):.3e}; f vanishes at the claimed minimum")
+        raise ZeroDenominator(f"|f(z0)| = {abs(fz0):.3e}; log-derivative ratio undefined")
+    # z0 f'/f, real at interior-of-arc modulus extrema
+    ratio = z0 * d1 / fz0
     m = ratio.real if case == "max" else -ratio.real
     im_residual = abs(ratio.imag)
-    try:
-        schwarz = schwarz_quantity(f, z0)
-    except ZeroDerivative:
-        schwarz = None
+    # Re(z0 f''/f') + 1, the curvature-type quantity
+    schwarz = None if abs(d1) <= ZERO_THRESHOLD else (z0 * d2 / d1).real + 1.0
     bound_sq, bound_abs = mocanu_bounds(f.a0, fz0, n, case)
 
     im_cap = tol * max(1.0, abs(m))

@@ -18,13 +18,13 @@ Evaluation has one path per shape of call:
   numpy; it is the evaluator for arbitrary point sets.  numpy's
   vectorized complex multiply may fuse multiply-adds, so its results can
   differ from the single-point path in the last bits;
-* whole circles (:meth:`PowerSeries.on_circles`) are one batched FFT:
-  on ``|z| = r`` sampled at ``theta_j = 2 pi j / M`` the tail is the
+* a whole circle (:meth:`PowerSeries.on_circle`) is one FFT: on
+  ``|z| = r`` sampled at ``theta_j = 2 pi j / M`` the tail is the
   discrete Fourier sum ``sum_k (a_k r^k) e^{2 pi i j k / M}``, so the
   scaled coefficients are folded into ``M`` bins (index ``k`` into bin
   ``k mod M``, which is exact since ``e^{2 pi i j k / M}`` has period
-  ``M`` in ``k``) and one inverse FFT per circle, times ``M``, gives all
-  ``M`` values.  The radii are validated once per call, not per point.
+  ``M`` in ``k``) and one inverse FFT, times ``M``, gives all ``M``
+  values.  The radius is validated once per call, not per point.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .errors import DomainError, SeriesFormatError
 
 #: Truncation order used when a caller does not request one explicitly.
 DEFAULT_ORDER = 32
+#: Coefficient magnitude at or below which a series counts as its constant term.
+CONSTANT_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,18 +64,18 @@ class PowerSeries:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "coeffs", c)
         # Horner order, as Python complex, so a single point never touches numpy.
-        object.__setattr__(self, "_reversed", tuple(complex(x) for x in c[::-1]))
+        object.__setattr__(self, "_reversed", tuple(c[::-1].tolist()))
 
     @property
     def order(self) -> int:
         """Truncation order N (``n - 1`` for a bare constant)."""
         return self.n + len(self.coeffs) - 1
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        """True when every stored coefficient has magnitude <= ``tol``."""
+    def is_constant(self) -> bool:
+        """True when every stored coefficient has magnitude <= ``CONSTANT_TOL``."""
         if len(self.coeffs) == 0:
             return True
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
+        return bool(np.max(np.abs(self.coeffs)) <= CONSTANT_TOL)
 
     def dense_coefficients(self, order: int | None = None) -> np.ndarray:
         """Coefficients ``a_0..a_order`` as one dense vector."""
@@ -106,22 +108,20 @@ class PowerSeries:
             acc = acc * z + c
         return self.a0 + acc * z**self.n
 
-    def on_circles(self, radii, samples: int) -> np.ndarray:
-        """Values at ``radii[j] * e^{2 pi i k / samples}`` as a ``(len(radii), samples)`` array.
+    def on_circle(self, r: float, samples: int) -> np.ndarray:
+        """Values at ``r * e^{2 pi i k / samples}``, ``k = 0..samples-1``.
 
         Scales the tail by ``r^k``, folds index ``k`` into bin
         ``k mod samples`` (exact for any order, aliasing included) and
-        takes one inverse FFT along the angle axis; ``a0`` is added last.
+        takes one inverse FFT; ``a0`` is added last.
         """
-        radii = np.asarray(radii, dtype=np.float64).reshape(-1)
-        if np.any(radii < 0.0) or np.any(radii >= 1.0):
-            raise DomainError("circle radii must satisfy 0 <= r < 1")
+        if not 0.0 <= r < 1.0:
+            raise DomainError(f"circle radius must satisfy 0 <= r < 1, got {r}")
         size = self.order + 1
         folds = -(-size // samples)
-        bins = np.zeros((len(radii), folds * samples), dtype=np.complex128)
-        bins[:, self.n : size] = self.coeffs * radii[:, None] ** np.arange(self.n, size)
-        folded = bins.reshape(len(radii), folds, samples).sum(axis=1)
-        return self.a0 + np.fft.ifft(folded, axis=1) * samples
+        bins = np.zeros(folds * samples, dtype=np.complex128)
+        bins[self.n : size] = self.coeffs * r ** np.arange(self.n, size)
+        return self.a0 + np.fft.ifft(bins.reshape(folds, samples).sum(axis=0)) * samples
 
     def differentiate(self) -> "PowerSeries":
         """Termwise derivative; the truncation order drops by one."""

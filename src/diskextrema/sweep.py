@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .extremum import DEFAULT_GRID, find_max_on_disk, find_min_on_disk
 from .functions import ExpSeriesFunction, Reciprocal
 from .lemma import DEFAULT_TOL, LINK_NAMES, LemmaReport, check_max_lemma, check_min_theorem
@@ -116,7 +117,7 @@ class SweepSummary:
 def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID) -> SweepSummary:
     """Run ``trials`` independent trials and aggregate in index order."""
     if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+        raise DomainError(f"need at least one trial, got {trials}")
     failed: list[TrialOutcome] = []
     max_gap = 0.0
     worst = {name: np.inf for name in LINK_NAMES}

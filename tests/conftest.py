@@ -63,9 +63,16 @@ def series_eval_oracle(s: PowerSeries, z: complex) -> complex:
     return total
 
 
-def derivatives(f: AnalyticFunction, z):
-    """``(f'(z), f''(z))`` in one call."""
-    return f.deriv1(z), f.deriv2(z)
+def log_derivative(f: AnalyticFunction, z) -> complex:
+    """``z f'(z)/f(z)``, the ratio the chain checkers read as ``m``."""
+    v, d1, _ = f.jet(z)
+    return complex(z * d1 / v)
+
+
+def schwarz_quantity(f: AnalyticFunction, z) -> float:
+    """``Re(z f''(z)/f'(z)) + 1``, the curvature quantity of the chain."""
+    _, d1, d2 = f.jet(z)
+    return float((z * d2 / d1).real) + 1.0
 
 
 class Rotated(AnalyticFunction):
@@ -85,14 +92,12 @@ class Rotated(AnalyticFunction):
     def value(self, z):
         return self.inner.value(self._w * z)
 
-    def deriv1(self, z):
-        return self._w * self.inner.deriv1(self._w * z)
+    def jet(self, z):
+        v, d1, d2 = self.inner.jet(self._w * z)
+        return v, self._w * d1, self._w * self._w * d2
 
-    def deriv2(self, z):
-        return self._w * self._w * self.inner.deriv2(self._w * z)
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
-        return self.inner.is_constant(tol)
+    def is_constant(self) -> bool:
+        return self.inner.is_constant()
 
     def count_zeros(self, r: float, samples: int) -> int:
         return self.inner.count_zeros(r, samples)

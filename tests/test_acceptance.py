@@ -24,10 +24,9 @@ from diskextrema import (
     find_min_on_disk,
     invert_series,
     run_sweep,
-    schwarz_quantity,
 )
 from diskextrema.cli import main
-from conftest import tame_series
+from conftest import schwarz_quantity, tame_series
 
 
 def _verdict(number: int, description: str, ok: bool) -> None:

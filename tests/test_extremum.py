@@ -222,18 +222,18 @@ class TestFindMinOnDisk:
 
     def test_samples_no_interior_circles(self):
         # the zero count and the cross-check sample whole circles of radius
-        # r, never a stack of interior circles
-        radii_per_call = []
+        # r, never an interior circle
+        radii = []
 
         class Spy(SeriesFunction):
-            def on_circles(self, radii, samples):
-                radii_per_call.append(len(radii))
-                return super().on_circles(radii, samples)
+            def on_circle(self, r, samples):
+                radii.append(r)
+                return super().on_circle(r, samples)
 
         # zeros at 1.1 and 1.3: Rouche fails on |z| = 0.9, so the winding samples
         f = Spy(PowerSeries(1.43, 1, [-2.4, 1.0]))
         assert find_min_on_disk(f, 0.9).value == pytest.approx(0.2 * 0.4, abs=1e-12)
-        assert len(radii_per_call) > 2 and max(radii_per_call) == 1
+        assert len(radii) > 2 and set(radii) == {0.9}
 
 
 def bisected_root(f, r: float, theta: float, sign: float, half_width: float = 1e-6) -> float:
@@ -241,7 +241,8 @@ def bisected_root(f, r: float, theta: float, sign: float, half_width: float = 1e
 
     def g(t):
         z = complex(r * np.exp(1j * t))
-        return sign * (z * complex(f.deriv1(z)) / complex(f.value(z))).imag
+        v, d1, _ = f.jet(z)
+        return sign * (z * complex(d1) / complex(v)).imag
 
     lo, hi = theta - half_width, theta + half_width
     assert g(lo) > 0.0 > g(hi)
@@ -267,18 +268,36 @@ class TestPolish:
 
     def test_scalar_derivative_calls_per_search(self):
         # a timing-free guard on the polish: 35 bisection steps cost 37
-        # deriv1 calls per search, the secant steps about 7
+        # jet calls per search, the secant steps about 7
         calls = []
 
         class Counting(ExpSeriesFunction):
-            def deriv1(self, z):
+            def jet(self, z):
                 calls.append(z)
-                return super().deriv1(z)
+                return super().jet(z)
 
         for index in range(50):
             trial = draw_trial(7, index)
             find_min_on_disk(Counting(trial.a0, trial.exponent), trial.r)
         assert len(calls) / 50 <= 10
+
+    def test_scalar_exponent_evaluations_per_search(self, monkeypatch):
+        # one h(z) per polish step plus the grid winner, the bracket midpoint
+        # and the origin: about 10 per search; recomputing f inside f' took 17
+        horner = PowerSeries.__call__
+        exponent, calls = [None], []
+
+        def counting(s, z):
+            if s is exponent[0] and not (isinstance(z, np.ndarray) and z.ndim):
+                calls.append(z)
+            return horner(s, z)
+
+        monkeypatch.setattr(PowerSeries, "__call__", counting)
+        for index in range(50):
+            trial = draw_trial(7, index)
+            exponent[0] = trial.exponent
+            find_min_on_disk(ExpSeriesFunction(trial.a0, trial.exponent), trial.r)
+        assert len(calls) / 50 <= 11
 
 
 class _NotAnalytic(AnalyticFunction):
@@ -291,13 +310,10 @@ class _NotAnalytic(AnalyticFunction):
         z = np.asarray(z)
         return 2.0 - np.abs(z) ** 2 + 0j
 
-    def deriv1(self, z):
-        return np.zeros_like(np.asarray(z), dtype=complex)
+    def jet(self, z):
+        return self.value(z), 0j, 0j
 
-    def deriv2(self, z):
-        return np.zeros_like(np.asarray(z), dtype=complex)
-
-    def is_constant(self, tol: float = 1e-15) -> bool:
+    def is_constant(self) -> bool:
         return False
 
     def count_zeros(self, r: float, samples: int) -> int:
@@ -315,16 +331,16 @@ class TestFindMaxOnDisk:
 
     def test_samples_no_interior_circles(self):
         # the maximum sits on the boundary, so the search samples the circle
-        # grid and one boundary ring, never a stack of interior circles
-        radii_per_call = []
+        # grid and one boundary ring, never an interior circle
+        radii = []
 
         class Spy(Reciprocal):
-            def on_circles(self, radii, samples):
-                radii_per_call.append(len(radii))
-                return super().on_circles(radii, samples)
+            def on_circle(self, r, samples):
+                radii.append(r)
+                return super().on_circle(r, samples)
 
         find_max_on_disk(Spy(ExampleFamily(0.8, 2)), 0.5)
-        assert radii_per_call and max(radii_per_call) == 1
+        assert len(radii) == 2 and set(radii) == {0.5}
 
     def test_boundary_ring_catches_grid_miss(self):
         # z^8 is the same at the 8 grid points, so the grid sees a flat |f|

@@ -11,7 +11,7 @@ from diskextrema import (
     SeriesFunction,
     find_min_on_circle,
 )
-from conftest import Rotated, central_diff1, central_diff2, derivatives, random_series, tame_series
+from conftest import Rotated, central_diff1, central_diff2, random_series, tame_series
 
 
 def geometric_sum_oracle(family: ExampleFamily, z: complex, terms: int = 400) -> complex:
@@ -57,23 +57,24 @@ class TestExampleFamilyValues:
         with pytest.raises(DomainError):
             fam.value(1.0)
         with pytest.raises(DomainError):
-            fam.deriv1(1.2j)
+            fam.jet(1.2j)
 
 
 class TestExampleFamilyDerivatives:
     def test_first_derivative_vanishes_at_origin(self):
-        assert ExampleFamily(0.8, 2).deriv1(0j) == 0
+        assert ExampleFamily(0.8, 2).jet(0j)[1] == 0
 
     def test_log_derivative_hand_value(self):
         fam = ExampleFamily(0.8, 2)
         z0 = 0.5j
-        ratio = z0 * fam.deriv1(z0) / fam.value(z0)
+        v, d1, _ = fam.jet(z0)
+        ratio = z0 * d1 / v
         assert complex(ratio) == pytest.approx(-8.0 / 15.0, abs=1e-15)
 
     def test_curvature_hand_value(self):
         fam = ExampleFamily(0.8, 2)
         z0 = 0.5j
-        d1, d2 = derivatives(fam, z0)
+        _, d1, d2 = fam.jet(z0)
         assert (z0 * d2 / d1).real + 1.0 == pytest.approx(1.2, abs=1e-14)
 
     @pytest.mark.parametrize("a0,n", [(0.8, 2), (0.9 * np.exp(1j * np.pi / 3), 3), (0.6, 1)])
@@ -83,8 +84,9 @@ class TestExampleFamilyDerivatives:
             z = 0.9 * rng.uniform(0.05, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             fd1 = central_diff1(fam.value, z)
             fd2 = central_diff2(fam.value, z)
-            assert complex(fam.deriv1(z)) == pytest.approx(fd1, rel=1e-6, abs=1e-8)
-            assert complex(fam.deriv2(z)) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
+            _, d1, d2 = fam.jet(z)
+            assert complex(d1) == pytest.approx(fd1, rel=1e-6, abs=1e-8)
+            assert complex(d2) == pytest.approx(fd2, rel=1e-4, abs=1e-4)
 
 
 class TestImageDisk:
@@ -181,8 +183,9 @@ class TestSeriesFunction:
         assert f.a0 == s.a0 and f.n == 2
         z = 0.4 - 0.3j
         assert f.value(z) == s(z)
-        assert complex(f.deriv1(z)) == pytest.approx(central_diff1(f.value, z), rel=1e-6)
-        assert complex(f.deriv2(z)) == pytest.approx(central_diff2(f.value, z), rel=1e-4)
+        _, d1, d2 = f.jet(z)
+        assert complex(d1) == pytest.approx(central_diff1(f.value, z), rel=1e-6)
+        assert complex(d2) == pytest.approx(central_diff2(f.value, z), rel=1e-4)
 
     def test_constant_detection(self):
         assert SeriesFunction(PowerSeries(2.0, 1, [0.0])).is_constant()
@@ -205,8 +208,9 @@ class TestExpSeriesFunction:
             assert complex(f.value(z)) == pytest.approx(
                 f.a0 * np.exp(complex(h(z))), rel=1e-14
             )
-            assert complex(f.deriv1(z)) == pytest.approx(central_diff1(f.value, z), rel=1e-6)
-            assert complex(f.deriv2(z)) == pytest.approx(central_diff2(f.value, z), rel=1e-4)
+            _, d1, d2 = f.jet(z)
+            assert complex(d1) == pytest.approx(central_diff1(f.value, z), rel=1e-6)
+            assert complex(d2) == pytest.approx(central_diff2(f.value, z), rel=1e-4)
 
     def test_never_vanishes(self, rng):
         h = PowerSeries(0.0, 1, [0.9, -0.6j, 0.5])
@@ -234,8 +238,9 @@ class TestWrappers:
         for _ in range(20):
             z = 0.9 * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert complex(g.value(z)) * complex(fam.value(z)) == pytest.approx(1.0, abs=1e-14)
-            assert complex(g.deriv1(z)) == pytest.approx(central_diff1(g.value, z), rel=1e-6)
-            assert complex(g.deriv2(z)) == pytest.approx(central_diff2(g.value, z), rel=1e-4)
+            _, d1, d2 = g.jet(z)
+            assert complex(d1) == pytest.approx(central_diff1(g.value, z), rel=1e-6)
+            assert complex(d2) == pytest.approx(central_diff2(g.value, z), rel=1e-4)
 
     def test_reciprocal_rejects_vanishing_origin(self):
         with pytest.raises(DomainError):
@@ -244,7 +249,7 @@ class TestWrappers:
     def test_is_constant_has_no_default(self):
         class ValuesOnly(AnalyticFunction):
             a0, n = 1.0 + 0j, 1
-            value = deriv1 = deriv2 = staticmethod(lambda z: z)
+            value = jet = staticmethod(lambda z: z)
 
         with pytest.raises(TypeError, match="is_constant"):
             ValuesOnly()
@@ -258,58 +263,86 @@ class TestWrappers:
         for _ in range(20):
             z = 0.9 * rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert complex(rot.value(z)) == pytest.approx(complex(fam.value(w * z)), rel=1e-14)
-            assert complex(rot.deriv1(z)) == pytest.approx(central_diff1(rot.value, z), rel=1e-6)
+            d1 = rot.jet(z)[1]
+            assert complex(d1) == pytest.approx(central_diff1(rot.value, z), rel=1e-6)
 
 
 class TestOnCircles:
-    RADII = np.array([0.1, 0.5, 0.9])
+    RADII = (0.1, 0.5, 0.9)
 
     @staticmethod
-    def points(samples: int) -> np.ndarray:
+    def points(r: float, samples: int) -> np.ndarray:
         thetas = 2.0 * np.pi * np.arange(samples) / samples
-        return TestOnCircles.RADII[:, None] * np.exp(1j * thetas)
+        return r * np.exp(1j * thetas)
 
     @staticmethod
-    def scale(s: PowerSeries) -> np.ndarray:
-        """``64 eps (|a0| + sum |a_k| r^k)`` per radius, as a column."""
+    def scale(s: PowerSeries, r: float) -> float:
+        """``64 eps (|a0| + sum |a_k| r^k)``."""
         k = np.arange(s.n, s.order + 1)
-        mass = abs(s.a0) + (np.abs(s.coeffs) * TestOnCircles.RADII[:, None] ** k).sum(axis=1)
-        return 64 * np.finfo(np.float64).eps * mass[:, None]
+        return 64 * np.finfo(np.float64).eps * (abs(s.a0) + (np.abs(s.coeffs) * r**k).sum())
 
     def test_default_evaluates_value_at_the_grid(self):
         # closed forms and wrappers without an override give value's own bits
         family = ExampleFamily(0.9 * np.exp(1j * np.pi / 3), 3)
         for f in (family, Rotated(family, 0.7)):
-            got = f.on_circles(self.RADII, 64)
-            assert got.shape == (3, 64)
-            assert np.array_equal(got, f.value(self.points(64)))
+            for r in self.RADII:
+                got = f.on_circle(r, 64)
+                assert got.shape == (64,)
+                assert np.array_equal(got, f.value(self.points(r, 64)))
 
     def test_series_function(self, rng):
         s = random_series(rng, n=2, degree=40)
         f = SeriesFunction(s)
-        got = f.on_circles(self.RADII, 32)
-        assert np.all(np.abs(got - f.value(self.points(32))) <= self.scale(s))
+        for r in self.RADII:
+            got = f.on_circle(r, 32)
+            assert np.all(np.abs(got - f.value(self.points(r, 32))) <= self.scale(s, r))
 
     def test_exp_series_function(self, rng):
         # exp turns an absolute error in h into a relative one in f
         h = PowerSeries(0.0, 2, 0.1 * random_series(rng, n=2, degree=30).coeffs)
         f = ExpSeriesFunction(1.3 * np.exp(0.7j), h)
-        expected = f.value(self.points(16))
-        got = f.on_circles(self.RADII, 16)
-        tol = (self.scale(h) + 4 * np.finfo(np.float64).eps) * np.abs(expected)
-        assert np.all(np.abs(got - expected) <= tol)
+        for r in self.RADII:
+            expected = f.value(self.points(r, 16))
+            got = f.on_circle(r, 16)
+            tol = (self.scale(h, r) + 4 * np.finfo(np.float64).eps) * np.abs(expected)
+            assert np.all(np.abs(got - expected) <= tol)
 
     def test_reciprocal(self, rng):
         # 1/f turns an absolute error in f into one divided by |f|^2
         s = tame_series(rng, n=1, degree=24)
         g = Reciprocal(SeriesFunction(s))
-        expected = g.value(self.points(16))
-        got = g.on_circles(self.RADII, 16)
-        assert np.all(np.abs(got - expected) <= self.scale(s) * np.abs(expected) ** 2)
+        for r in self.RADII:
+            expected = g.value(self.points(r, 16))
+            got = g.on_circle(r, 16)
+            assert np.all(np.abs(got - expected) <= self.scale(s, r) * np.abs(expected) ** 2)
 
     def test_reciprocal_of_closed_form_is_exact(self):
         g = Reciprocal(ExampleFamily(0.8, 2))
-        assert np.array_equal(g.on_circles(self.RADII, 16), g.value(self.points(16)))
+        for r in self.RADII:
+            assert np.array_equal(g.on_circle(r, 16), g.value(self.points(r, 16)))
+
+
+class TestJet:
+    POINTS = (0j, 0.3 - 0.2j, 0.85 * np.exp(2.1j), np.complex128(-0.6 + 0.1j))
+    FAMILY = ExampleFamily(0.9 * np.exp(1j * np.pi / 3), 3)
+    SERIES = SeriesFunction(PowerSeries(1.2 - 0.4j, 2, [0.3, -0.2j, 0.1 + 0.05j]))
+    EXP = ExpSeriesFunction(1.3 * np.exp(0.7j), PowerSeries(0.0, 1, [0.4, 0.2j, -0.1]))
+
+    @pytest.mark.parametrize(
+        "f",
+        [FAMILY, SERIES, EXP, Reciprocal(FAMILY), Reciprocal(SERIES), Reciprocal(EXP)],
+        ids=["family", "series", "exp", "1/family", "1/series", "1/exp"],
+    )
+    def test_value_is_bit_identical(self, f):
+        # the chain and the polish read f from the jet, the search compares |value|
+        for z in self.POINTS:
+            v = f.jet(z)[0]
+            assert v == f.value(z) and type(v) is type(f.value(z))
+
+    def test_abstract_methods(self):
+        assert AnalyticFunction.__abstractmethods__ == {"value", "jet", "is_constant", "count_zeros"}
+        sampling = [name for name in dir(AnalyticFunction) if name.startswith("on_")]
+        assert sampling == ["on_circle"]
 
 
 def product_series(zeros, scale: complex = 1.0) -> PowerSeries:
@@ -319,15 +352,15 @@ def product_series(zeros, scale: complex = 1.0) -> PowerSeries:
 
 
 class SampleSpy(SeriesFunction):
-    """Records the sample count of every ``on_circles`` call."""
+    """Records the sample count of every ``on_circle`` call."""
 
     def __init__(self, series: PowerSeries):
         super().__init__(series)
         self.samples: list[int] = []
 
-    def on_circles(self, radii, samples: int):
+    def on_circle(self, r: float, samples: int):
         self.samples.append(samples)
-        return super().on_circles(radii, samples)
+        return super().on_circle(r, samples)
 
 
 class TestCountZeros:

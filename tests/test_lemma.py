@@ -11,23 +11,21 @@ from diskextrema import (
     DomainError,
     ExampleFamily,
     ExpSeriesFunction,
+    LinkCheck,
     PowerSeries,
     Reciprocal,
     SeriesFunction,
     ZeroDenominator,
-    ZeroDerivative,
     ZeroInDisk,
     check_max_lemma,
     check_min_theorem,
     find_max_on_disk,
     find_min_on_disk,
     format_report,
-    log_derivative,
     mocanu_bounds,
-    schwarz_quantity,
 )
 from diskextrema.lemma import format_doc
-from conftest import Rotated
+from conftest import Rotated, log_derivative, schwarz_quantity
 from test_extremum import random_exp_function
 
 
@@ -54,8 +52,8 @@ class TestLogDerivative:
 
     def test_rejects_zero_value(self):
         f = SeriesFunction(PowerSeries(-0.5, 1, [1.0]))  # zero at z = 0.5
-        with pytest.raises(ZeroDenominator):
-            log_derivative(f, 0.5)
+        with pytest.raises(ZeroDenominator, match="log-derivative ratio undefined"):
+            check_max_lemma(f, 1, 0.5)
 
 
 class TestSchwarzQuantity:
@@ -75,9 +73,13 @@ class TestSchwarzQuantity:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_rejects_zero_derivative(self):
-        f = SeriesFunction(PowerSeries(1.0, 2, [1.0]))  # f' = 2z vanishes at 0
-        with pytest.raises(ZeroDerivative):
-            schwarz_quantity(f, 0.0)
+        # f' = 2z - 3z^2 vanishes at z0 = 2/3, where f = 4/27 does not:
+        # the chain leaves the curvature quantity undefined there
+        f = SeriesFunction(PowerSeries(0.0, 2, [1.0, -1.0]))
+        assert abs(f.jet(2.0 / 3.0)[1]) < 1e-15
+        report = check_max_lemma(f, 2, 2.0 / 3.0)
+        assert report.schwarz is None
+        assert report.checks["schwarz_vs_m"] == LinkCheck(None, None, None)
 
 
 class TestMocanuBounds:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diskextrema import draw_trial, run_sweep, run_trial
+from diskextrema import DomainError, draw_trial, run_sweep, run_trial
 
 
 class TestDrawTrial:
@@ -65,3 +65,8 @@ class TestRunSweep:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_sweep(0, 1)
+
+    def test_zero_trials_is_a_domain_error(self):
+        # a precondition like every other, so one DiskExtremaError handler catches it
+        with pytest.raises(DomainError, match="need at least one trial, got -3"):
+            run_sweep(-3, 1)
