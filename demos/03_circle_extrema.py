@@ -1,14 +1,21 @@
 # Locating modulus extrema on circles and disks
 # =============================================
 #
-# The search is a 4096-point angular grid followed by a polish of the
+# The search is a certified angular grid followed by a polish of the
 # sign change of d/dtheta log|f| = -Im(z f'/f) over the two grid steps
-# around the grid winner, which pins the extremal angle far below the
-# sqrt(eps) noise floor that value-only comparisons hit.  The polish is
-# Illinois regula falsi: secant steps on the bracket, with each point
-# clamped 5e-14 inside it.  Here the grid winner pi/2 is the exact
-# minimizer, so the first secant point is the root and the clamped
-# second point closes the bracket: 2 steps, where bisection took 35.
+# around each candidate, which pins the extremal angle far below the
+# sqrt(eps) noise floor that value-only comparisons hit.  The function
+# bounds the curvature K of log|f| on the circle, so between grid nodes
+# delta apart log|f| can dip at most slack = K delta^2/8 below the lower
+# node.  The grid starts at 256 points and doubles while that slack is
+# large against the spread of log|f| on it; every grid-local minimum
+# within the slack of the winner is a candidate, and the slack is
+# reported as certified_gap.  The polish is Illinois regula falsi:
+# secant steps on the bracket, with each point clamped 5e-14 inside it.
+# Here the two symmetric minimizers pi/2 and 3 pi/2 are grid points and
+# both are candidates; for each the first secant point is the root and
+# the clamped second point closes the bracket: 2 steps per basin, where
+# bisection took 35.
 # When |f| is flat to rounding across grid points, the rounded grid can
 # pick a neighbour of the true extremum; the bracket then walks one grid
 # step at a time the way the derivative's sign points until it holds a
@@ -44,7 +51,7 @@ r = 0.5
 result = find_min_on_circle(family, r)
 print(f"min |f| on |z| = {r}: {result.value:.15f} at theta = {result.theta:.15f}")
 print(f"  grid {result.grid_size}, {result.refine_iterations} refinement steps, "
-      f"final bracket {result.bracket_width:.2e}")
+      f"final bracket {result.bracket_width:.2e}, certified gap {result.certified_gap:.2e}")
 print(f"  closed form says 0.6 at theta = pi/2 = {np.pi / 2:.15f}")
 
 # How extremal is the located point?  The log-derivative ratio there

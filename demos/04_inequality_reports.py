@@ -43,5 +43,5 @@ print(f"curvature of f:                  {report.schwarz:.15f}")
 k = 3
 power = SeriesFunction(PowerSeries(0.0, k, [1.0]))
 jack = check_max_lemma(power, k, find_max_on_disk(power, 0.6).z0)
-print(f"\nfor f(z) = z^{k}: m = {jack.m} (1 ulp of {k}), bounds = "
+print(f"\nfor f(z) = z^{k}: m = {jack.m} (within 1 ulp of {k}), bounds = "
       f"({jack.bound_sq}, {jack.bound_abs})  -- bit-exactly {k}")

@@ -28,14 +28,16 @@ class ZeroInDisk(DiskExtremaError):
 class InteriorBelowBoundary(DiskExtremaError):
     """A boundary-ring or origin sample undercuts the located minimum.
 
-    The circle grid missed the minimum, or the supplied function is not analytic.
+    The supplied function is not analytic, or its curvature bound is wrong
+    and the circle grid missed the minimum.
     """
 
 
 class InteriorAboveBoundary(DiskExtremaError):
     """A boundary-ring or origin sample exceeds the located maximum.
 
-    The circle grid missed the peak, or the supplied function is not analytic.
+    The supplied function is not analytic, or its curvature bound is wrong
+    and the circle grid missed the peak.
     """
 
 

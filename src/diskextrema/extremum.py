@@ -1,10 +1,25 @@
 """Locate extrema of |f| on circles ``|z| = r`` and closed disks ``|z| <= r``.
 
-The search is a coarse uniform angular grid followed by one refinement
-stage.  The grid is sampled in one call of ``f.on_circle``: for a
-series-backed function that is one inverse FFT of the coefficients
-scaled by ``r^k`` (folded modulo the grid size when the order exceeds
-it), for other functions a vectorized ``value`` call at the same points.
+The search is a certified uniform angular grid followed by one
+refinement stage per candidate basin.  Each grid is sampled in one call
+of ``f.on_circle``: for a series-backed function that is one inverse FFT
+of the coefficients scaled by ``r^k`` (folded modulo the grid size when
+the order exceeds it), for other functions a vectorized ``value`` call
+at the same points.
+
+The grid is certified by ``K = f.log_modulus_curvature(r)``, a bound on
+``|u''|`` for ``u(theta) = log|f(r e^{i theta})|``: between two nodes
+``delta`` apart, ``u`` stays above the lower node minus
+``slack = K delta^2 / 8`` and below the higher node plus it.  The grid
+starts at the requested size and doubles while the slack exceeds 1/16 of
+the grid's log-modulus spread plus a rounding floor, up to the zero
+count's cap of ``2^20`` samples; an unbounded ``K`` keeps the first grid.
+Every grid-local extremum whose modulus is within a factor ``e^slack``
+of the grid winner's may hold the true extremum, so each one is refined,
+the winner first, and the best result wins (the earlier on a tie).  The
+located modulus is then within the slack of the true extremum, and the
+result reports it as ``certified_gap``.
+
 At an extremum on the circle the ratio ``z f'(z)/f(z)`` is real, i.e.
 the tangential derivative of ``log |f|`` vanishes:
 
@@ -12,7 +27,7 @@ the tangential derivative of ``log |f|`` vanishes:
 
 Unlike |f| itself, which is quadratically flat there, this crosses zero
 linearly, so polishing its sign change pins the extremal angle to about
-1e-13.  The polish starts on the two grid steps around the grid winner.
+1e-13.  The polish starts on the two grid steps around the candidate.
 When |f| varies by less than rounding between grid points the rounded
 moduli can pick a neighbour of the true extremum, so that bracket holds
 no sign change; the bracket then walks one grid step at a time the way
@@ -26,24 +41,26 @@ root still shrinks the bracket below the target on the next step, and
 two steps in a row that fail to halve the bracket are followed by a
 bisection.  The refinement runs on single points: each step reads
 ``f`` and ``f'`` from one ``f.jet`` call.  The bracket midpoint is
-accepted when its modulus is no worse, up to rounding, than the grid
-winner's modulus, both read by the scalar ``value``, so both sides of
-the comparison come from one evaluator.  Otherwise (no sign change, e.g. for
-constants; a rejected root; a sub-grid zero hit by a maximum search) the
-result is the grid winner itself, with its scalar modulus and the
-two-step bracket ``2 * TAU / grid`` as its width.
+accepted when its modulus is no worse, up to rounding, than the
+candidate's grid modulus, both read by the scalar ``value``, so both
+sides of the comparison come from one evaluator.  Otherwise (no sign
+change, e.g. for constants; a rejected root; a sub-grid zero hit by a
+maximum search) the candidate's result is its grid point itself, with
+its scalar modulus and the two-step bracket ``2 * TAU / grid`` as its
+width.
 
 Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
 so is the minimum when the function has no zeros there.  The minimum
 search asks ``f.count_zeros`` for the zeros inside the circle first.
 Both disk searches check their result against the origin and one
-256-point boundary ring, which catches a coarse grid that missed the
-extremum and functions that are not analytic.
+256-point boundary ring, which catches functions that are not analytic
+and a curvature bound that is wrong.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +72,11 @@ from .errors import (
     ZeroInDisk,
     ZeroOnCircle,
 )
-from .functions import TAU, AnalyticFunction, _require_radius
+from .functions import _ROUNDING, _WINDING_CAP, TAU, AnalyticFunction, _require_radius
 from .lemma import ZERO_THRESHOLD
 
-#: Coarse angular grid; resolves minimizer basins for class indices up to ~512.
-DEFAULT_GRID = 4096
+#: Coarsest angular grid of a circle search; the curvature certificate refines it.
+DEFAULT_GRID = 256
 #: Angular bracket width at which the polish stops.
 POLISH_TARGET = 1e-13
 #: Iteration cap for the polish.
@@ -73,7 +90,13 @@ _ACCEPT_ULPS = 4
 
 @dataclass(frozen=True)
 class ExtremumResult:
-    """A located modulus extremum on the circle ``|z| = r``."""
+    """A located modulus extremum on the circle ``|z| = r``.
+
+    ``grid_size`` is the grid actually sampled, ``refine_iterations`` the
+    polish steps summed over the basins refined, and ``certified_gap`` the
+    curvature slack: ``log value`` is within it of the true extremum's
+    (``inf`` when f cannot bound its curvature).
+    """
 
     theta: float
     z0: complex
@@ -81,6 +104,7 @@ class ExtremumResult:
     grid_size: int
     refine_iterations: int
     bracket_width: float
+    certified_gap: float
 
 
 def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) -> np.ndarray:
@@ -99,19 +123,12 @@ def write_profile_csv(profile, fh) -> None:
         fh.write(f"{theta:.17g},{modulus:.17g}\n")
 
 
-def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
-    profile = modulus_profile(f, r, grid)
-    moduli = profile[:, 1]
-    if minimize and moduli.min() < ZERO_THRESHOLD:
-        raise ZeroOnCircle(
-            f"|f| = {moduli.min():.3e} on |z| = {r}; the function vanishes on the circle"
-        )
-    sign = 1.0 if minimize else -1.0
+def _polish(f: AnalyticFunction, r: float, theta: float, step: float, walk: int, sign: float):
+    """Refine the grid extremum at ``theta``; ``(theta, |f|, bracket width, iterations)``.
 
-    # Grid winner: first index attaining the extremum, i.e. the smallest theta.
-    winner = int(np.argmin(sign * moduli))
-    step = TAU / grid
-    theta = float(profile[winner, 0])
+    ``sign`` is +1 for a minimum and -1 for a maximum; the bracket walks at
+    most ``walk`` steps of ``step``.
+    """
     value = float(np.abs(f.value(r * np.exp(1j * theta))))
     bracket = 2.0 * step
 
@@ -129,7 +146,7 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     try:
         glo, ghi = tangential(lo), tangential(hi)
         # Walk toward the sign change while the bracket holds none.
-        for _ in range(grid // 2):
+        for _ in range(walk):
             if ghi > 0.0:
                 lo, glo = hi, ghi
                 hi += step
@@ -172,31 +189,76 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
                 theta, value, bracket = t_mid, v_mid, hi - lo
     except ZeroOnCircle:
         # A sub-grid zero: fatal for a minimum search; a maximum search
-        # keeps the grid winner.
-        if minimize:
+        # keeps the grid point.
+        if sign > 0.0:
             raise
+    return theta, value, bracket, iterations
 
+
+def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
+    sign = 1.0 if minimize else -1.0
+    samples = grid
+    moduli = modulus_profile(f, r, samples)[:, 1]
+    curvature = f.log_modulus_curvature(r)
+    while True:
+        low, high = float(moduli.min()), float(moduli.max())
+        if minimize and low < ZERO_THRESHOLD:
+            raise ZeroOnCircle(
+                f"|f| = {low:.3e} on |z| = {r}; the function vanishes on the circle"
+            )
+        slack = curvature * (TAU / samples) ** 2 / 8.0
+        spread = math.log(high) - math.log(low) if low > 0.0 else math.inf
+        if math.isinf(slack) or slack <= spread / 16.0 + _ROUNDING or 2 * samples > _WINDING_CAP:
+            break
+        samples *= 2
+        moduli = modulus_profile(f, r, samples)[:, 1]
+
+    # Grid winner: first index attaining the extremum, i.e. the smallest
+    # theta; then every other grid-local extremum (strictly better than its
+    # left neighbour, no worse than its right one) whose modulus is within
+    # a factor e^slack of the winner's, in grid order.  A slack beyond the
+    # spread admits every one.
+    key = sign * moduli
+    winner = int(np.argmin(key))
+    around = np.concatenate((key[-1:], key, key[:1]))
+    local = (key < around[:-2]) & (key <= around[2:])
+    local &= key <= sign * moduli[winner] * math.exp(sign * min(slack, spread))
+    local[winner] = False
+    step = TAU / samples
+
+    best = None
+    iterations = 0
+    for index in (winner, *np.flatnonzero(local).tolist()):
+        theta = TAU * index / samples  # the profile's own grid angle
+        theta, value, bracket, steps = _polish(f, r, theta, step, samples // 2, sign)
+        iterations += steps
+        if best is None or sign * (value - best[1]) < 0.0:
+            best = (theta, value, bracket)
+    theta, value, bracket = best
     return ExtremumResult(
         theta=theta,
         z0=complex(r * np.exp(1j * theta)),
         value=value,
-        grid_size=grid,
+        grid_size=samples,
         refine_iterations=iterations,
         bracket_width=bracket,
+        certified_gap=slack,
     )
 
 
 def find_min_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Minimize |f| over ``|z| = r``.
+    """Minimize |f| over ``|z| = r``, starting from a ``grid``-point grid.
 
-    Ties between symmetric minimizers are broken toward the smallest grid
-    angle; that is a reporting convention, not a uniqueness claim.
+    The grid doubles until its curvature slack is small; every basin
+    within that slack of the grid winner is polished.  Of equal results
+    the earlier candidate is kept: the grid winner, then increasing grid
+    angle.  That is a reporting convention, not a uniqueness claim.
     """
     return _search_circle(f, r, grid, minimize=True)
 
 
 def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Maximize |f| over ``|z| = r``."""
+    """Maximize |f| over ``|z| = r``; the grid is certified as in :func:`find_min_on_circle`."""
     return _search_circle(f, r, grid, minimize=False)
 
 
@@ -232,8 +294,8 @@ def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     For a zero-free analytic function the minimum sits on the boundary
     circle, so the search delegates there once ``f.count_zeros(r, grid)``
     finds no zero inside.  The result must not exceed |f| at the origin
-    or on a 256-point boundary ring; a grid that missed the minimum, or a
-    non-analytic f, exceeds it.
+    or on a 256-point boundary ring; a non-analytic f, or one whose
+    curvature bound is wrong, can exceed it.
     """
     return _search_disk(f, r, grid, minimize=True)
 
@@ -242,6 +304,7 @@ def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary).
 
     The result must reach |f| at the origin and on a 256-point boundary
-    ring; a grid that missed the peak, or a non-analytic f, falls short.
+    ring; a non-analytic f, or one whose curvature bound is wrong, can
+    fall short.
     """
     return _search_disk(f, r, grid, minimize=False)

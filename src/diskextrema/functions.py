@@ -23,10 +23,16 @@ minimum-modulus statement.  The exponential, the reference family and the
 reciprocal have none by construction.  A series tries Rouche's theorem
 against its constant term and otherwise takes the winding number of its
 circle samples, on a grid fine enough that the winding is exact.
+
+``log_modulus_curvature`` bounds ``|d^2/dtheta^2 log|f(r e^{i theta})||``
+on a circle in closed form, which is what lets the extremum search trust
+a coarse grid: between two nodes ``delta`` apart the log-modulus can dip
+below the lower node by at most ``K delta^2 / 8``.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,10 +44,12 @@ from .series import PowerSeries
 
 TAU = 2.0 * np.pi
 
-#: Relative rounding allowed in a tail sum or an FFT sample of a series.
+#: Relative rounding allowed in a tail sum or an FFT sample of a series
+#: (and so in a grid's log-modulus, for the extremum search).
 _ROUNDING = 64 * np.finfo(np.float64).eps
-#: Most circle samples a winding count may take; it also keeps the summed
-#: phase rounding, about ``M^2 * _ROUNDING``, far below pi.
+#: Most circle samples a winding count, or a certified extremum grid, may
+#: take; it also keeps the summed phase rounding, about
+#: ``M^2 * _ROUNDING``, far below pi.
 _WINDING_CAP = 1 << 20
 
 
@@ -51,6 +59,12 @@ def _unit_circle(samples: int) -> np.ndarray:
     roots = np.exp(1j * (TAU * np.arange(samples) / samples))
     roots.setflags(write=False)
     return roots
+
+
+def _tail_moment(s: PowerSeries, r: float, p: int) -> float:
+    """``sum_k k^p |a_k| r^k`` over the stored tail of ``s``."""
+    k = np.arange(s.n, s.order + 1)
+    return float((k**p * (np.abs(s.coeffs) * r**k)).sum())
 
 
 def _require_in_disk(z) -> None:
@@ -91,6 +105,13 @@ class AnalyticFunction(ABC):
         """Number of zeros in ``|z| < r``, with multiplicity.
 
         ``samples`` is the coarsest circle grid a sampling method may use.
+        """
+
+    @abstractmethod
+    def log_modulus_curvature(self, r: float) -> float:
+        """``K >= max |d^2/dtheta^2 log|f(r e^{i theta})||`` on ``|z| = r``.
+
+        ``math.inf`` when the class cannot bound it on this circle.
         """
 
     def on_circle(self, r: float, samples: int) -> np.ndarray:
@@ -136,13 +157,11 @@ class SeriesFunction(AnalyticFunction):
         """
         _require_radius(r)
         s = self.series
-        k = np.arange(s.n, s.order + 1)
-        terms = np.abs(s.coeffs) * r**k
-        tail = float(terms.sum())
+        tail = _tail_moment(s, r, 0)
         noise = _ROUNDING * (abs(s.a0) + tail)
         if tail + noise < abs(s.a0):
             return 0
-        slope = float((k * terms).sum())
+        slope = _tail_moment(s, r, 1)
         m = samples
         while True:
             values = self.on_circle(r, m)
@@ -156,6 +175,21 @@ class SeriesFunction(AnalyticFunction):
                 )
             m *= 2
         return round(float(np.angle(np.roll(values, -1) / values).sum()) / TAU)
+
+    def log_modulus_curvature(self, r: float) -> float:
+        """``S2/L + (S1/L)^2`` with ``S_p = sum k^p |a_k| r^k`` and ``L = |a0| - S0``.
+
+        With ``w = z f'/f`` the curvature is ``-Re(w + z^2 f''/f - w^2)``;
+        ``|z f'| <= S1``, ``|z^2 f''| <= S2 - S1`` and ``|f| >= L`` on the
+        circle.  ``L`` is the Rouche margin of :meth:`count_zeros`; without
+        one the bound is ``inf``.
+        """
+        s = self.series
+        margin = abs(s.a0) - _tail_moment(s, r, 0)
+        if margin <= 0.0:
+            return math.inf
+        slope = _tail_moment(s, r, 1) / margin
+        return _tail_moment(s, r, 2) / margin + slope * slope
 
 
 class DiskImage(NamedTuple):
@@ -223,6 +257,18 @@ class ExampleFamily(AnalyticFunction):
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # zeros only at |z|^n = |a0| / ||a0| - 1| > 1
+
+    def log_modulus_curvature(self, r: float) -> float:
+        """``n^2 [q1/(1-q1)^2 + q2/(1-q2)^2]``, ``q1 = |1 - 1/|a0|| r^n``, ``q2 = r^n``.
+
+        ``f = a0 (1 - c w)/(1 - w)`` with ``w = z^n`` and ``c = 1 - u/a0``,
+        and ``d^2/dphi^2 log|1 - q e^{i phi}| = Re sum k q^k e^{i k phi}``
+        is at most ``q/(1-q)^2``.
+        """
+        _require_radius(r)
+        q2 = r**self.n
+        q1 = abs(1.0 - 1.0 / abs(self.a0)) * q2
+        return self.n**2 * (q1 / (1.0 - q1) ** 2 + q2 / (1.0 - q2) ** 2)
 
     def image_disk(self, r: float) -> DiskImage:
         """The round disk onto which ``|z| <= r`` is mapped.
@@ -305,6 +351,10 @@ class ExpSeriesFunction(AnalyticFunction):
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # exp never vanishes
 
+    def log_modulus_curvature(self, r: float) -> float:
+        """``sum k^2 |h_k| r^k``, since ``log|f| = log|a0| + Re h``."""
+        return _tail_moment(self.h, r, 2)
+
 
 class Reciprocal(AnalyticFunction):
     """Pointwise ``1/f``; defined wherever ``f`` has no zeros.
@@ -336,3 +386,6 @@ class Reciprocal(AnalyticFunction):
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # 1/f never vanishes
+
+    def log_modulus_curvature(self, r: float) -> float:
+        return self.inner.log_modulus_curvature(r)  # log|1/f| = -log|f|

@@ -102,6 +102,9 @@ class Rotated(AnalyticFunction):
     def count_zeros(self, r: float, samples: int) -> int:
         return self.inner.count_zeros(r, samples)
 
+    def log_modulus_curvature(self, r: float) -> float:
+        return self.inner.log_modulus_curvature(r)
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:

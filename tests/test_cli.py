@@ -310,25 +310,25 @@ SURFACE = {
         ["example", "--a0", "0.8", "--n", "2", "--r", "0.5"],
         ["--a0", "--n", "--r"],
         {"command": "example", "a0": "0.8", "a0_mod": None, "a0_arg": 0.0, "n": 2, "r": 0.5,
-         "tol": 1e-8, "grid": 4096, "format": "text", "output": None},
+         "tol": 1e-8, "grid": 256, "format": "text", "output": None},
     ),
     "verify": (
         ["verify", "--input", "s.txt", "--r", "0.5"],
         ["--input", "--r"],
         {"command": "verify", "input": "s.txt", "r": 0.5, "mode": "min", "tol": 1e-8,
-         "grid": 4096, "format": "text", "output": None},
+         "grid": 256, "format": "text", "output": None},
     ),
     "sweep": (
         ["sweep", "--trials", "3", "--seed", "1"],
         ["--trials", "--seed"],
-        {"command": "sweep", "trials": 3, "seed": 1, "tol": 1e-8, "grid": 4096,
+        {"command": "sweep", "trials": 3, "seed": 1, "tol": 1e-8, "grid": 256,
          "format": "text", "output": None},
     ),
     "landscape": (
         ["landscape", "--r", "0.5"],
         ["--r"],
         {"command": "landscape", "a0": None, "a0_mod": None, "a0_arg": 0.0, "n": None,
-         "input": None, "r": 0.5, "grid": 4096, "reciprocal": False, "output": None},
+         "input": None, "r": 0.5, "grid": 256, "reciprocal": False, "output": None},
     ),
 }
 

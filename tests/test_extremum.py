@@ -27,6 +27,13 @@ def constant(value: complex) -> SeriesFunction:
     return SeriesFunction(PowerSeries(value, 1, []))
 
 
+class Uncertified(SeriesFunction):
+    """A series that claims a flat log-modulus, so its first grid is trusted."""
+
+    def log_modulus_curvature(self, r: float) -> float:
+        return 0.0
+
+
 def random_exp_function(rng) -> ExpSeriesFunction:
     n = int(rng.integers(1, 5))
     count = int(rng.integers(1, 6))
@@ -87,9 +94,11 @@ class TestFindMinOnCircle:
         # the grid winner pi/2 is the exact minimizer and the bracket is
         # symmetric about it, so the first secant point is the root; the
         # clamp keeps the second point 5e-14 inside the bracket, which then
-        # closes below the target instead of shrinking toward one end
-        res = find_min_on_circle(ExampleFamily(0.8, 2), 0.5)
-        assert res.refine_iterations == 2
+        # closes below the target instead of shrinking toward one end.  The
+        # symmetric minimizer 3 pi/2 lies within the certified slack and
+        # closes the same way: two steps for each basin
+        res = find_min_on_circle(ExampleFamily(0.8, 2), 0.5, grid=4096)
+        assert res.refine_iterations == 4
         assert abs(res.theta - np.pi / 2) <= res.bracket_width <= POLISH_TARGET
 
     def test_bracket_walks_to_sign_change(self):
@@ -98,7 +107,7 @@ class TestFindMinOnCircle:
         # minimizer pi/12, and the tangential derivative has no sign change
         # on the two steps around it until the bracket walks one step right
         a0 = 0.5409475328906539 * np.exp(5.987111868764644j)
-        res = find_min_on_circle(ExampleFamily(a0, 12), 0.08286736484609238)
+        res = find_min_on_circle(ExampleFamily(a0, 12), 0.08286736484609238, grid=4096)
         assert abs(res.theta - np.pi / 12) <= res.bracket_width <= 1e-13
         assert res.refine_iterations > 0
 
@@ -211,10 +220,20 @@ class TestFindMinOnDisk:
         with pytest.raises(ZeroInDisk, match=r"^f vanishes in \|z\| < 0.7: 1 zero"):
             find_min_on_disk(f, 0.7)
 
-    def test_boundary_ring_catches_grid_miss(self):
-        # z^8 is the same at the 8 grid points, so the grid sees a flat |f|
-        # and misses the dip at theta = (pi - 0.7)/8 that the 256-point ring hits
+    def test_certificate_refines_a_flat_grid(self):
+        # z^8 is the same at the 8 grid points, so the grid sees a flat |f|;
+        # its curvature bound forces a finer grid, which finds the dip at
+        # theta = (pi - 0.7)/8
         f = SeriesFunction(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
+        res = find_min_on_disk(f, 0.9, grid=8)
+        assert res.grid_size > 8
+        assert res.value == pytest.approx(1.0 - 0.5 * 0.9**8, abs=1e-12)
+        assert abs(np.exp(1j * (8 * res.theta + 0.7)) + 1.0) < 1e-8
+
+    def test_boundary_ring_catches_grid_miss(self):
+        # with a curvature bound of 0 the flat 8-point grid is trusted and
+        # misses the dip that the 256-point ring hits
+        f = Uncertified(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
         with pytest.raises(
             InteriorBelowBoundary, match="^boundary ring or origin sample .* undercuts located minimum"
         ):
@@ -236,20 +255,72 @@ class TestFindMinOnDisk:
         assert len(radii) > 2 and set(radii) == {0.9}
 
 
-def bisected_root(f, r: float, theta: float, sign: float, half_width: float = 1e-6) -> float:
-    """The sign change of ``sign * Im(z f'/f)`` near ``theta``, by plain bisection."""
+def tangential(f, r: float, sign: float):
+    """``theta -> sign * Im(z f'/f)``, which crosses zero downward at an extremum."""
 
     def g(t):
         z = complex(r * np.exp(1j * t))
         v, d1, _ = f.jet(z)
         return sign * (z * complex(d1) / complex(v)).imag
 
-    lo, hi = theta - half_width, theta + half_width
-    assert g(lo) > 0.0 > g(hi)
+    return g
+
+
+def bisect(g, lo: float, hi: float) -> float:
     while hi - lo > POLISH_TARGET / 16:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
     return 0.5 * (lo + hi)
+
+
+def bisected_root(f, r: float, theta: float, sign: float, half_width: float = 1e-6) -> float:
+    """The sign change of ``sign * Im(z f'/f)`` near ``theta``, by plain bisection."""
+    g = tangential(f, r, sign)
+    lo, hi = theta - half_width, theta + half_width
+    assert g(lo) > 0.0 > g(hi)
+    return bisect(g, lo, hi)
+
+
+def oracle_extremum(f, r: float, sign: float, samples: int = 1 << 16) -> float:
+    """The extremal modulus over every basin of a ``samples``-point grid.
+
+    Each grid-local extremum whose two steps hold a sign change of the
+    tangential derivative is bisected; the others count at the grid point.
+    """
+    key = sign * np.abs(f.on_circle(r, samples))
+    step = 2 * np.pi / samples
+    g = tangential(f, r, sign)
+    values = []
+    for index in np.flatnonzero((key <= np.roll(key, 1)) & (key <= np.roll(key, -1))):
+        theta = step * index
+        if g(theta - step) > 0.0 > g(theta + step):
+            theta = bisect(g, theta - step, theta + step)
+        values.append(abs(complex(f.value(r * np.exp(1j * theta)))))
+    return min(values) if sign > 0 else max(values)
+
+
+class TestCertificate:
+    def test_matches_an_every_basin_oracle(self):
+        # the default grid, its curvature slack and the basins within it
+        # find the modulus that polishing every basin of a 65536-point grid
+        # finds, and the slack bounds the distance to it
+        for index in range(100):
+            trial = draw_trial(11, index)
+            f = ExpSeriesFunction(trial.a0, trial.exponent)
+            searches = ((f, find_min_on_circle, 1.0), (Reciprocal(f), find_max_on_circle, -1.0))
+            for g, search, sign in searches:
+                res = search(g, trial.r)
+                oracle = oracle_extremum(g, trial.r, sign)
+                assert abs(res.value - oracle) <= 4 * np.spacing(oracle), index
+                assert abs(np.log(res.value / oracle)) <= res.certified_gap, index
+
+    def test_unbounded_curvature_keeps_the_grid(self):
+        # no Rouche margin: the slack is infinite, nothing doubles, and
+        # every grid-local minimum is polished
+        f = SeriesFunction(PowerSeries(1.43, 1, [-2.4, 1.0]))
+        res = find_min_on_circle(f, 0.9, grid=64)
+        assert res.grid_size == 64 and res.certified_gap == np.inf
+        assert res.value == pytest.approx(0.2 * 0.4, abs=1e-12)
 
 
 class TestPolish:
@@ -278,12 +349,29 @@ class TestPolish:
 
         for index in range(50):
             trial = draw_trial(7, index)
-            find_min_on_disk(Counting(trial.a0, trial.exponent), trial.r)
+            find_min_on_disk(Counting(trial.a0, trial.exponent), trial.r, grid=4096)
         assert len(calls) / 50 <= 10
 
+    def test_scalar_derivative_calls_per_search_at_default_grid(self):
+        # the 256-point grid puts the winner farther from the root and
+        # polishes a second basin when one lies within the certified
+        # slack: about 10 jet calls per search
+        calls = []
+
+        class Counting(ExpSeriesFunction):
+            def jet(self, z):
+                calls.append(z)
+                return super().jet(z)
+
+        for index in range(50):
+            trial = draw_trial(7, index)
+            find_min_on_disk(Counting(trial.a0, trial.exponent), trial.r)
+        assert len(calls) / 50 <= 12
+
     def test_scalar_exponent_evaluations_per_search(self, monkeypatch):
-        # one h(z) per polish step plus the grid winner, the bracket midpoint
-        # and the origin: about 10 per search; recomputing f inside f' took 17
+        # one h(z) per polish step plus the grid point, the bracket midpoint
+        # and the origin: about 10 per search, 12 with the symmetric basins
+        # that single-term exponents polish too; recomputing f inside f' took 17
         horner = PowerSeries.__call__
         exponent, calls = [None], []
 
@@ -296,8 +384,8 @@ class TestPolish:
         for index in range(50):
             trial = draw_trial(7, index)
             exponent[0] = trial.exponent
-            find_min_on_disk(ExpSeriesFunction(trial.a0, trial.exponent), trial.r)
-        assert len(calls) / 50 <= 11
+            find_min_on_disk(ExpSeriesFunction(trial.a0, trial.exponent), trial.r, grid=4096)
+        assert len(calls) / 50 <= 13
 
 
 class _NotAnalytic(AnalyticFunction):
@@ -318,6 +406,9 @@ class _NotAnalytic(AnalyticFunction):
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # |f| >= 2 - r^2 > 1
+
+    def log_modulus_curvature(self, r: float) -> float:
+        return 0.0  # |f| = 2 - r^2 on the whole circle
 
 
 class TestFindMaxOnDisk:
@@ -342,10 +433,19 @@ class TestFindMaxOnDisk:
         find_max_on_disk(Spy(ExampleFamily(0.8, 2)), 0.5)
         assert len(radii) == 2 and set(radii) == {0.5}
 
-    def test_boundary_ring_catches_grid_miss(self):
-        # z^8 is the same at the 8 grid points, so the grid sees a flat |f|
-        # and misses the peak at theta = -0.7/8 that the 256-point ring hits
+    def test_certificate_refines_a_flat_grid(self):
+        # the flat 8-point grid of z^8 is refined until the peak at
+        # theta = -0.7/8 is found
         f = SeriesFunction(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
+        res = find_max_on_disk(f, 0.9, grid=8)
+        assert res.grid_size > 8
+        assert res.value == pytest.approx(1.0 + 0.5 * 0.9**8, abs=1e-12)
+        assert abs(np.exp(1j * (8 * res.theta + 0.7)) - 1.0) < 1e-8
+
+    def test_boundary_ring_catches_grid_miss(self):
+        # a curvature bound of 0 trusts the flat grid, which misses the
+        # peak that the 256-point ring hits
+        f = Uncertified(PowerSeries(1.0, 8, [0.5 * np.exp(0.7j)]))
         with pytest.raises(
             InteriorAboveBoundary, match="^boundary ring or origin sample .* exceeds located maximum"
         ):

@@ -340,7 +340,9 @@ class TestJet:
             assert v == f.value(z) and type(v) is type(f.value(z))
 
     def test_abstract_methods(self):
-        assert AnalyticFunction.__abstractmethods__ == {"value", "jet", "is_constant", "count_zeros"}
+        assert AnalyticFunction.__abstractmethods__ == {
+            "value", "jet", "is_constant", "count_zeros", "log_modulus_curvature"
+        }
         sampling = [name for name in dir(AnalyticFunction) if name.startswith("on_")]
         assert sampling == ["on_circle"]
 
@@ -408,3 +410,60 @@ class TestCountZeros:
         exp = ExpSeriesFunction(0.55, PowerSeries(0.0, 1, [0.9, -0.6j, 0.5]))
         for f in (family, exp, Reciprocal(family), Reciprocal(exp)):
             assert f.count_zeros(0.95, 8) == 0
+
+
+def log_modulus_second_derivative(f: AnalyticFunction, z: complex) -> float:
+    """``d^2/dtheta^2 log|f(r e^{i theta})|`` at ``z``: ``-Re(w + z^2 f''/f - w^2)``, ``w = z f'/f``."""
+    v, d1, d2 = f.jet(z)
+    w = z * d1 / v
+    return float(-(w + z * z * d2 / v - w * w).real)
+
+
+class TestLogModulusCurvature:
+    SAMPLES = 128
+
+    def sampled(self, f, r: float, rng) -> float:
+        thetas = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(self.SAMPLES) / self.SAMPLES
+        return max(abs(log_modulus_second_derivative(f, complex(r * np.exp(1j * t)))) for t in thetas)
+
+    def check(self, make, rng):
+        for _ in range(50):
+            f, r = make()
+            bound = f.log_modulus_curvature(r)
+            assert np.isfinite(bound)
+            assert self.sampled(f, r, rng) <= bound * (1 + 1e-12)
+
+    def test_series_function(self, rng):
+        # tails of up to 0.98 |a0| leave thin Rouche margins, where the
+        # (S1/L)^2 term dominates
+        def make():
+            s = tame_series(rng, degree=int(rng.integers(1, 9)), budget=1.0)
+            tail = np.sum(np.abs(s.coeffs))
+            scaled = PowerSeries(s.a0, s.n, s.coeffs * (rng.uniform(0.5, 0.98) * abs(s.a0) / tail))
+            return SeriesFunction(scaled), rng.uniform(0.3, 0.99)
+
+        self.check(make, rng)
+
+    def test_exp_series_function(self, rng):
+        def make():
+            a0 = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            h = PowerSeries(0.0, 1, rng.uniform(0.05, 0.5) * random_series(rng, n=1).coeffs)
+            return ExpSeriesFunction(a0, h), rng.uniform(0.1, 0.95)
+
+        self.check(make, rng)
+
+    def test_example_family(self, rng):
+        def make():
+            a0 = rng.uniform(0.51, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            return ExampleFamily(a0, int(rng.integers(1, 9))), rng.uniform(0.1, 0.95)
+
+        self.check(make, rng)
+
+    def test_reciprocal(self, rng):
+        self.check(lambda: (Reciprocal(SeriesFunction(tame_series(rng))), rng.uniform(0.1, 0.95)), rng)
+
+    def test_series_without_rouche_margin_is_unbounded(self):
+        f = SeriesFunction(PowerSeries(0.5, 1, [1.0]))
+        assert np.isfinite(f.log_modulus_curvature(0.4))
+        assert f.log_modulus_curvature(0.6) == np.inf
+        assert Reciprocal(f).log_modulus_curvature(0.6) == np.inf

@@ -56,6 +56,13 @@ class TestRunSweep:
         for name, margin in summary.worst_margins.items():
             assert margin is None or margin >= -summary.tolerance, name
 
+    def test_coarse_grid_completes(self):
+        # a 16-point grid misses minimum basins; the curvature certificate
+        # refines it, so no trial's disk search fails its boundary check
+        summary = run_sweep(40, 1, grid=16)
+        assert summary.failures == 0
+        assert summary.max_duality_gap <= 1e-10
+
     def test_repeatable(self):
         a = run_sweep(10, 5)
         b = run_sweep(10, 5)
