@@ -10,12 +10,12 @@
 # node.  The grid starts at 256 points and doubles while that slack is
 # large against the spread of log|f| on it; every grid-local minimum
 # within the slack of the winner is a candidate, and the slack is
-# reported as certified_gap.  The polish is Illinois regula falsi:
-# secant steps on the bracket, with each point clamped 5e-14 inside it.
-# Here the two symmetric minimizers pi/2 and 3 pi/2 are grid points and
-# both are candidates; for each the first secant point is the root and
-# the clamped second point closes the bracket: 2 steps per basin, where
-# bisection took 35.
+# reported as certified_gap.  f depends on z^2 only, so the minimizer
+# 3 pi/2 is the rotated copy of pi/2 and is not polished again.  The
+# polish is Illinois regula falsi: secant steps on the bracket, with each
+# point clamped 5e-14 inside it.  Here pi/2 is a grid point, the first
+# secant point is the root and the clamped second point closes the
+# bracket: 2 steps, where bisection took 35.
 # When |f| is flat to rounding across grid points, the rounded grid can
 # pick a neighbour of the true extremum; the bracket then walks one grid
 # step at a time the way the derivative's sign points until it holds a

@@ -10,15 +10,23 @@ at the same points.
 The grid is certified by ``K = f.log_modulus_curvature(r)``, a bound on
 ``|u''|`` for ``u(theta) = log|f(r e^{i theta})|``: between two nodes
 ``delta`` apart, ``u`` stays above the lower node minus
-``slack = K delta^2 / 8`` and below the higher node plus it.  The grid
-starts at the requested size and doubles while the slack exceeds 1/16 of
-the grid's log-modulus spread plus a rounding floor, up to the zero
-count's cap of ``2^20`` samples; an unbounded ``K`` keeps the first grid.
-Every grid-local extremum whose modulus is within a factor ``e^slack``
-of the grid winner's may hold the true extremum, so each one is refined,
-the winner first, and the best result wins (the earlier on a tie).  The
-located modulus is then within the slack of the true extremum, and the
-result reports it as ``certified_gap``.
+``slack = K delta^2 / 8`` and below the higher node plus it.  A maximum
+search takes ``C = f.square_modulus_curvature(r)``, a bound on the
+curvature of ``|f|^2``, when f has one: with ``x = C delta^2 / (8 H^2)``
+for the highest node ``H``, ``|f|^2`` drops at most ``x H^2`` from a
+local maximum to its nearest node, so ``slack = -log(1 - x) / 2``; no
+floor of ``|f|`` enters, which keeps functions with zeros near the
+circle cheap.  The grid starts at the requested size and doubles while
+the slack exceeds 1/16 of the grid's log-modulus spread plus a rounding
+floor, up to the zero count's cap of ``2^20`` samples; a function with
+no bound keeps the first grid.  Every grid-local extremum whose modulus
+is within a factor ``e^slack`` of the grid winner's may hold the true
+extremum, so each one is refined, the winner first, and the best result
+wins (the earlier on a tie).  For ``f(e^{2 pi i/d} z) = f(z)``, with
+``d = f.rotation_order()``, a candidate within one grid step of a
+rotated copy of an extremum already refined is that copy and is
+skipped.  The located modulus is then within the slack of the true
+extremum, and the result reports it as ``certified_gap``.
 
 At an extremum on the circle the ratio ``z f'(z)/f(z)`` is real, i.e.
 the tangential derivative of ``log |f|`` vanishes:
@@ -55,7 +63,9 @@ so is the minimum when the function has no zeros there.  The minimum
 search asks ``f.count_zeros`` for the zeros inside the circle first.
 Both disk searches check their result against the origin and one
 256-point boundary ring, which catches functions that are not analytic
-and a curvature bound that is wrong.
+and a curvature bound that is wrong.  The result is no worse than any
+node of the search's own grids, so when the first grid is a multiple of
+256 points it holds the ring and only the origin is sampled.
 """
 
 from __future__ import annotations
@@ -83,6 +93,8 @@ POLISH_TARGET = 1e-13
 MAX_ITERATIONS = 200
 #: Slack allowed when comparing located extrema against the origin and the boundary ring.
 INTERIOR_TOL = 1e-10
+#: Points of the boundary ring that the disk searches check their result against.
+BOUNDARY_RING = 256
 
 #: Ulps by which the polished root may miss the grid winner's modulus.
 _ACCEPT_ULPS = 4
@@ -199,16 +211,27 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     sign = 1.0 if minimize else -1.0
     samples = grid
     moduli = modulus_profile(f, r, samples)[:, 1]
-    curvature = f.log_modulus_curvature(r)
+    # A maximum search takes the bound on (|f|^2)'' when f has one, which
+    # needs no floor of |f|; otherwise the bound on (log|f|)''.
+    square = math.inf if minimize else f.square_modulus_curvature(r)
+    curvature = f.log_modulus_curvature(r) if square == math.inf else math.inf
+    bounded = curvature < math.inf or square < math.inf
     while True:
         low, high = float(moduli.min()), float(moduli.max())
         if minimize and low < ZERO_THRESHOLD:
             raise ZeroOnCircle(
                 f"|f| = {low:.3e} on |z| = {r}; the function vanishes on the circle"
             )
-        slack = curvature * (TAU / samples) ** 2 / 8.0
+        step = TAU / samples
+        if square < math.inf:
+            # |f|^2 drops at most x high^2 from a local maximum to its
+            # nearest node, and rises at most that above the highest node.
+            x = square * step**2 / (8.0 * high * high) if square else 0.0
+            slack = -0.5 * math.log1p(-x) if x < 1.0 else math.inf
+        else:
+            slack = curvature * step**2 / 8.0
         spread = math.log(high) - math.log(low) if low > 0.0 else math.inf
-        if math.isinf(slack) or slack <= spread / 16.0 + _ROUNDING or 2 * samples > _WINDING_CAP:
+        if not bounded or slack <= spread / 16.0 + _ROUNDING or 2 * samples > _WINDING_CAP:
             break
         samples *= 2
         moduli = modulus_profile(f, r, samples)[:, 1]
@@ -224,13 +247,19 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     local = (key < around[:-2]) & (key <= around[2:])
     local &= key <= sign * moduli[winner] * math.exp(sign * min(slack, spread))
     local[winner] = False
-    step = TAU / samples
+    # A candidate within a grid step of a rotated copy of a basin already
+    # polished (f(e^{2 pi i/d} z) = f(z)) is that copy; it is skipped.
+    order = f.rotation_order()
 
     best = None
+    polished = []
     iterations = 0
     for index in (winner, *np.flatnonzero(local).tolist()):
         theta = TAU * index / samples  # the profile's own grid angle
+        if order > 1 and _is_rotated_copy(theta, polished, order, step):
+            continue
         theta, value, bracket, steps = _polish(f, r, theta, step, samples // 2, sign)
+        polished.append(theta)
         iterations += steps
         if best is None or sign * (value - best[1]) < 0.0:
             best = (theta, value, bracket)
@@ -246,19 +275,35 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     )
 
 
+def _is_rotated_copy(theta: float, polished, order: int, step: float) -> bool:
+    """Whether ``theta`` is within ``step`` of ``p + 2 pi k / order``, ``0 < k < order``, for a polished ``p``."""
+    period = TAU / order
+    for p in polished:
+        offset = (theta - p) % TAU
+        k = round(offset / period)
+        if k % order and abs(offset - k * period) <= step:
+            return True
+    return False
+
+
 def find_min_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
     """Minimize |f| over ``|z| = r``, starting from a ``grid``-point grid.
 
     The grid doubles until its curvature slack is small; every basin
-    within that slack of the grid winner is polished.  Of equal results
-    the earlier candidate is kept: the grid winner, then increasing grid
-    angle.  That is a reporting convention, not a uniqueness claim.
+    within that slack of the grid winner is polished, except rotated
+    copies of one already polished.  Of equal results the earlier
+    candidate is kept: the grid winner, then increasing grid angle.  That
+    is a reporting convention, not a uniqueness claim.
     """
     return _search_circle(f, r, grid, minimize=True)
 
 
 def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Maximize |f| over ``|z| = r``; the grid is certified as in :func:`find_min_on_circle`."""
+    """Maximize |f| over ``|z| = r``; the grid is certified as in :func:`find_min_on_circle`.
+
+    A function that bounds the curvature of ``|f|^2`` is certified by that
+    bound rather than by the curvature of ``log|f|``.
+    """
     return _search_circle(f, r, grid, minimize=False)
 
 
@@ -268,10 +313,14 @@ def _search_disk(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> Ex
         zeros = f.count_zeros(r, grid)
         if zeros:
             raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
-    samples = np.append(np.abs(f.on_circle(r, 256)), abs(complex(f.value(0j))))
+    result = find_min_on_circle(f, r, grid) if minimize else find_max_on_circle(f, r, grid)
+    # The result is no worse than any node of the search's grids, so a
+    # ring that the first grid holds has nothing to add to the origin.
+    samples = np.array([abs(complex(f.value(0j)))])
+    if grid % BOUNDARY_RING:
+        samples = np.append(np.abs(f.on_circle(r, BOUNDARY_RING)), samples)
     if minimize:
         edge = float(samples.min())
-        result = find_min_on_circle(f, r, grid)
         if result.value > edge + INTERIOR_TOL:
             raise InteriorBelowBoundary(
                 f"boundary ring or origin sample {edge:.17g} "
@@ -279,7 +328,6 @@ def _search_disk(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> Ex
             )
     else:
         edge = float(samples.max())
-        result = find_max_on_circle(f, r, grid)
         if result.value < edge - INTERIOR_TOL:
             raise InteriorAboveBoundary(
                 f"boundary ring or origin sample {edge:.17g} "
@@ -294,8 +342,9 @@ def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     For a zero-free analytic function the minimum sits on the boundary
     circle, so the search delegates there once ``f.count_zeros(r, grid)``
     finds no zero inside.  The result must not exceed |f| at the origin
-    or on a 256-point boundary ring; a non-analytic f, or one whose
-    curvature bound is wrong, can exceed it.
+    or on a 256-point boundary ring (sampled only when the grid does not
+    hold it); a non-analytic f, or one whose curvature bound is wrong, can
+    exceed it.
     """
     return _search_disk(f, r, grid, minimize=True)
 
@@ -304,7 +353,7 @@ def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary).
 
     The result must reach |f| at the origin and on a 256-point boundary
-    ring; a non-analytic f, or one whose curvature bound is wrong, can
-    fall short.
+    ring (sampled only when the grid does not hold it); a non-analytic f,
+    or one whose curvature bound is wrong, can fall short.
     """
     return _search_disk(f, r, grid, minimize=False)

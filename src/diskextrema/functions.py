@@ -27,7 +27,9 @@ circle samples, on a grid fine enough that the winding is exact.
 ``log_modulus_curvature`` bounds ``|d^2/dtheta^2 log|f(r e^{i theta})||``
 on a circle in closed form, which is what lets the extremum search trust
 a coarse grid: between two nodes ``delta`` apart the log-modulus can dip
-below the lower node by at most ``K delta^2 / 8``.
+below the lower node by at most ``K delta^2 / 8``.  ``rotation_order``
+names the ``d`` with ``f(e^{2 pi i/d} z) = f(z)``, so that the search
+polishes one basin of each set of rotated copies.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ _ROUNDING = 64 * np.finfo(np.float64).eps
 #: take; it also keeps the summed phase rounding, about
 #: ``M^2 * _ROUNDING``, far below pi.
 _WINDING_CAP = 1 << 20
+#: First grid on which a series without a Rouche margin looks for a floor of ``|f|``.
+_FLOOR_SAMPLES = 64
 
 
 @lru_cache(maxsize=8)
@@ -61,10 +65,21 @@ def _unit_circle(samples: int) -> np.ndarray:
     return roots
 
 
-def _tail_moment(s: PowerSeries, r: float, p: int) -> float:
-    """``sum_k k^p |a_k| r^k`` over the stored tail of ``s``."""
+def _tail_moment(s: PowerSeries, r: float, p: int, j: int = 0) -> float:
+    """``sum_{k != j} |k - j|^p |a_k| r^k`` over the coefficients of ``s``.
+
+    ``j = 0`` sums the stored tail: ``sum k^p |a_k| r^k``.
+    """
     k = np.arange(s.n, s.order + 1)
-    return float((k**p * (np.abs(s.coeffs) * r**k)).sum())
+    terms = np.abs(k - j) ** p * (np.abs(s.coeffs) * r**k)
+    if j == 0:
+        return float(terms.sum())
+    return float(terms[k != j].sum()) + j**p * abs(s.a0)
+
+
+def _rotation_order(s: PowerSeries) -> int:
+    """gcd of the indices of the nonzero tail coefficients of ``s`` (1 for a constant)."""
+    return math.gcd(*(np.flatnonzero(s.coeffs) + s.n).tolist()) or 1
 
 
 def _require_in_disk(z) -> None:
@@ -114,6 +129,18 @@ class AnalyticFunction(ABC):
         ``math.inf`` when the class cannot bound it on this circle.
         """
 
+    def square_modulus_curvature(self, r: float) -> float:
+        """``C >= max |d^2/dtheta^2 |f(r e^{i theta})|^2|`` on ``|z| = r``.
+
+        A maximum search may use it where ``log_modulus_curvature`` is
+        loose; this default, ``math.inf``, gives it nothing.
+        """
+        return math.inf
+
+    def rotation_order(self) -> int:
+        """A ``d >= 1`` with ``f(e^{2 pi i/d} z) = f(z)``; this default claims none."""
+        return 1
+
     def on_circle(self, r: float, samples: int) -> np.ndarray:
         """Values at ``r e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
 
@@ -144,16 +171,37 @@ class SeriesFunction(AnalyticFunction):
     def is_constant(self) -> bool:
         return self.series.is_constant()
 
+    def rotation_order(self) -> int:
+        return _rotation_order(self.series)
+
+    def _floored_circle(self, r: float, samples: int, noise: float):
+        """Circle samples on a grid fine enough that ``|f|`` has a floor between them.
+
+        With ``M`` samples ``z_j``, ``|f|`` stays above
+        ``min_j |f(z_j)| - (pi / M) S1 - noise`` on the whole circle, where
+        ``S1 = sum k |a_k| r^k`` bounds ``r max |f'|``.  ``M`` doubles from
+        ``samples`` until ``(2 pi / M) S1 + noise < min_j |f(z_j)|``, so
+        that the floor is positive and each phase step between neighbours
+        is the principal one.  Returns the samples and the floor, which is
+        None when the circle needs more than ``_WINDING_CAP`` samples.
+        """
+        slope = _tail_moment(self.series, r, 1)
+        m = samples
+        while True:
+            values = self.on_circle(r, m)
+            low = float(np.abs(values).min())
+            if TAU / m * slope + noise < low:
+                return values, float(low - 0.5 * TAU / m * slope - noise)
+            if TAU / _WINDING_CAP * slope + noise >= low:
+                return values, None
+            m *= 2
+
     def count_zeros(self, r: float, samples: int) -> int:
         """Rouche's theorem when ``|a0| > sum |a_k| r^k``, else the winding number on ``|z| = r``.
 
-        With ``M`` samples ``z_j`` the winding is exact once
-        ``(2 pi / M) sum k |a_k| r^k < min_j |f(z_j)|``: the sum bounds
-        ``r max |f'|``, so ``f`` stays in the disk of radius ``|f(z_j)|``
-        about ``f(z_j)`` between neighbours and each phase step is the
-        principal one.  ``M`` doubles from ``samples`` until that holds;
-        a circle that needs more than ``_WINDING_CAP`` samples raises
-        DomainError.  Both tests allow for the rounding of the sums.
+        The winding is taken on the samples of :meth:`_floored_circle`,
+        from ``samples`` up, on which it is exact; a circle with no floor
+        raises DomainError.  Both tests allow for the rounding of the sums.
         """
         _require_radius(r)
         s = self.series
@@ -161,35 +209,70 @@ class SeriesFunction(AnalyticFunction):
         noise = _ROUNDING * (abs(s.a0) + tail)
         if tail + noise < abs(s.a0):
             return 0
-        slope = _tail_moment(s, r, 1)
-        m = samples
-        while True:
-            values = self.on_circle(r, m)
-            low = float(np.abs(values).min())
-            if TAU / m * slope + noise < low:
-                break
-            if TAU / _WINDING_CAP * slope + noise >= low:
-                raise DomainError(
-                    f"cannot count zeros in |z| < {r} with {_WINDING_CAP} samples: "
-                    f"min |f| on the circle is {low:.3e}"
-                )
-            m *= 2
+        values, floor = self._floored_circle(r, samples, noise)
+        if floor is None:
+            raise DomainError(
+                f"cannot count zeros in |z| < {r} with {_WINDING_CAP} samples: "
+                f"min |f| on the circle is {float(np.abs(values).min()):.3e}"
+            )
         return round(float(np.angle(np.roll(values, -1) / values).sum()) / TAU)
 
-    def log_modulus_curvature(self, r: float) -> float:
-        """``S2/L + (S1/L)^2`` with ``S_p = sum k^p |a_k| r^k`` and ``L = |a0| - S0``.
-
-        With ``w = z f'/f`` the curvature is ``-Re(w + z^2 f''/f - w^2)``;
-        ``|z f'| <= S1``, ``|z^2 f''| <= S2 - S1`` and ``|f| >= L`` on the
-        circle.  ``L`` is the Rouche margin of :meth:`count_zeros`; without
-        one the bound is ``inf``.
-        """
+    def _largest_term(self, r: float) -> int:
+        """The ``j`` of the largest term ``|a_j| r^j`` on the circle, ``0`` on a tie with ``a0``."""
         s = self.series
-        margin = abs(s.a0) - _tail_moment(s, r, 0)
+        terms = np.abs(s.coeffs) * r ** np.arange(s.n, s.order + 1)
+        if len(terms) and terms.max() > abs(s.a0):
+            return s.n + int(terms.argmax())
+        return 0
+
+    def log_modulus_curvature(self, r: float) -> float:
+        """``S2/L + (S1/L)^2`` with ``S_p = sum_{k != j} |k - j|^p |a_k| r^k`` and ``L <= min |f|``.
+
+        ``a_j z^j`` is the largest term on the circle.  There
+        ``f = e^{i j theta} G(theta)`` with the trigonometric polynomial
+        ``G = sum a_k r^k e^{i (k - j) theta}``, so ``log|f| = log|G|`` has
+        second derivative ``Re(G''/G - (G'/G)^2)`` with ``|G'| <= S1``,
+        ``|G''| <= S2`` and ``|G| = |f| >= L``.  ``L`` is the Rouche margin
+        ``|a_j| r^j - S0`` of f against its largest term when that is
+        positive (for ``j = 0`` the margin of :meth:`count_zeros`), else
+        the floor of :meth:`_floored_circle` from ``_FLOOR_SAMPLES``
+        samples up; a circle with no floor (a zero on it or too close)
+        gives ``inf``.  A monomial gets ``0``.
+        """
+        _require_radius(r)
+        s = self.series
+        j = self._largest_term(r)
+        tail = _tail_moment(s, r, 0, j)
+        margin = (abs(s.a0) if j == 0 else abs(s.coeffs[j - s.n]) * r**j) - tail
         if margin <= 0.0:
-            return math.inf
-        slope = _tail_moment(s, r, 1) / margin
-        return _tail_moment(s, r, 2) / margin + slope * slope
+            noise = _ROUNDING * (abs(s.a0) + _tail_moment(s, r, 0))
+            _, margin = self._floored_circle(r, _FLOOR_SAMPLES, noise)
+            if margin is None:
+                return math.inf
+        slope = _tail_moment(s, r, 1, j) / margin
+        return _tail_moment(s, r, 2, j) / margin + slope * slope
+
+    def square_modulus_curvature(self, r: float) -> float:
+        """``min(D^2 B^2, 2 (B S2 + S1^2))`` with ``B = sum |a_k| r^k``.
+
+        ``|f|^2 = |G|^2`` with ``G``, ``S1`` and ``S2`` as in
+        :meth:`log_modulus_curvature`, so its second derivative
+        ``2 Re(G'' conj(G)) + 2 |G'|^2`` is at most ``2 (B S2 + S1^2)``.
+        ``|f|^2`` is also a trigonometric polynomial of degree ``D``, the
+        spread of the indices of the nonzero coefficients, and at most
+        ``B^2``, so Bernstein's inequality bounds it by ``D^2 B^2``.  No
+        floor of ``|f|`` enters, so near-zeros cost nothing.
+        """
+        _require_radius(r)
+        s = self.series
+        j = self._largest_term(r)
+        total = abs(s.a0) + _tail_moment(s, r, 0)
+        indices = np.flatnonzero(s.coeffs) + s.n
+        if not len(indices):
+            return 0.0
+        degree = int(indices.max()) - (0 if s.a0 != 0 else int(indices.min()))
+        slope = _tail_moment(s, r, 1, j)
+        return min(degree * degree * total * total, 2.0 * (total * _tail_moment(s, r, 2, j) + slope * slope))
 
 
 class DiskImage(NamedTuple):
@@ -257,6 +340,9 @@ class ExampleFamily(AnalyticFunction):
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # zeros only at |z|^n = |a0| / ||a0| - 1| > 1
+
+    def rotation_order(self) -> int:
+        return self.n  # f is a function of z^n
 
     def log_modulus_curvature(self, r: float) -> float:
         """``n^2 [q1/(1-q1)^2 + q2/(1-q2)^2]``, ``q1 = |1 - 1/|a0|| r^n``, ``q2 = r^n``.
@@ -351,6 +437,9 @@ class ExpSeriesFunction(AnalyticFunction):
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # exp never vanishes
 
+    def rotation_order(self) -> int:
+        return _rotation_order(self.h)
+
     def log_modulus_curvature(self, r: float) -> float:
         """``sum k^2 |h_k| r^k``, since ``log|f| = log|a0| + Re h``."""
         return _tail_moment(self.h, r, 2)
@@ -386,6 +475,9 @@ class Reciprocal(AnalyticFunction):
 
     def count_zeros(self, r: float, samples: int) -> int:
         return 0  # 1/f never vanishes
+
+    def rotation_order(self) -> int:
+        return self.inner.rotation_order()
 
     def log_modulus_curvature(self, r: float) -> float:
         return self.inner.log_modulus_curvature(r)  # log|1/f| = -log|f|

@@ -20,6 +20,7 @@ from diskextrema import (
     find_min_on_disk,
     modulus_profile,
 )
+from diskextrema import extremum
 from diskextrema.extremum import POLISH_TARGET
 
 
@@ -28,9 +29,12 @@ def constant(value: complex) -> SeriesFunction:
 
 
 class Uncertified(SeriesFunction):
-    """A series that claims a flat log-modulus, so its first grid is trusted."""
+    """A series that claims a flat modulus, so its first grid is trusted."""
 
     def log_modulus_curvature(self, r: float) -> float:
+        return 0.0
+
+    def square_modulus_curvature(self, r: float) -> float:
         return 0.0
 
 
@@ -95,10 +99,9 @@ class TestFindMinOnCircle:
         # symmetric about it, so the first secant point is the root; the
         # clamp keeps the second point 5e-14 inside the bracket, which then
         # closes below the target instead of shrinking toward one end.  The
-        # symmetric minimizer 3 pi/2 lies within the certified slack and
-        # closes the same way: two steps for each basin
+        # minimizer 3 pi/2 is its rotated copy and is not polished again
         res = find_min_on_circle(ExampleFamily(0.8, 2), 0.5, grid=4096)
-        assert res.refine_iterations == 4
+        assert res.refine_iterations == 2
         assert abs(res.theta - np.pi / 2) <= res.bracket_width <= POLISH_TARGET
 
     def test_bracket_walks_to_sign_change(self):
@@ -314,13 +317,50 @@ class TestCertificate:
                 assert abs(res.value - oracle) <= 4 * np.spacing(oracle), index
                 assert abs(np.log(res.value / oracle)) <= res.certified_gap, index
 
-    def test_unbounded_curvature_keeps_the_grid(self):
-        # no Rouche margin: the slack is infinite, nothing doubles, and
-        # every grid-local minimum is polished
+    def test_series_without_rouche_margin_is_certified(self):
+        # no term of 1.43 - 2.4 z + z^2 dominates on |z| = 0.9, where the
+        # minimum 0.2 * 0.4 sits near the zeros 1.1 and 1.3: the sampled
+        # floor of |f| bounds the curvature, and the grid doubles
         f = SeriesFunction(PowerSeries(1.43, 1, [-2.4, 1.0]))
         res = find_min_on_circle(f, 0.9, grid=64)
-        assert res.grid_size == 64 and res.certified_gap == np.inf
+        assert res.grid_size > 64 and np.isfinite(res.certified_gap)
         assert res.value == pytest.approx(0.2 * 0.4, abs=1e-12)
+
+    def test_unbounded_curvature_keeps_the_grid(self):
+        # (z - 0.5 - 1e-9)(z + 0.4) has no dominant term on |z| = 0.5 and a
+        # zero closer to it than 2^20 samples can floor, and 1/f has no
+        # bound on (|f|^2)'': the slack is infinite, nothing doubles, and
+        # every grid-local maximum is polished
+        c = 0.5 + 1e-9
+        inner = SeriesFunction(PowerSeries(-0.4 * c, 1, [0.4 - c, 1.0]))
+        res = find_max_on_circle(Reciprocal(inner), 0.5, grid=64)
+        assert res.grid_size == 64 and res.certified_gap == np.inf
+        assert res.value == pytest.approx(1.0 / (1e-9 * 0.9), rel=1e-6)
+
+
+class TestRotatedCopies:
+    def test_polished_once(self, monkeypatch):
+        # f depends on z^3 only: its minimizers pi/3, pi and 5 pi/3 tie, and
+        # the 256-point grid holds no rotation by 2 pi/3, yet only the
+        # winner's basin is polished; claiming no symmetry polishes all three
+        polished = []
+        polish = extremum._polish
+
+        def counting(f, r, theta, *rest):
+            polished.append(theta)
+            return polish(f, r, theta, *rest)
+
+        class Plain(ExampleFamily):
+            def rotation_order(self) -> int:
+                return 1
+
+        monkeypatch.setattr(extremum, "_polish", counting)
+        res = find_min_on_circle(ExampleFamily(0.8, 3), 0.5)
+        assert len(polished) == 1
+        assert res.value == pytest.approx(0.8 - 0.125 / 1.125, abs=1e-12)
+        polished.clear()
+        assert find_min_on_circle(Plain(0.8, 3), 0.5).value == pytest.approx(res.value, abs=1e-15)
+        assert len(polished) == 3
 
 
 class TestPolish:
@@ -369,9 +409,8 @@ class TestPolish:
         assert len(calls) / 50 <= 12
 
     def test_scalar_exponent_evaluations_per_search(self, monkeypatch):
-        # one h(z) per polish step plus the grid point, the bracket midpoint
-        # and the origin: about 10 per search, 12 with the symmetric basins
-        # that single-term exponents polish too; recomputing f inside f' took 17
+        # one h(z) per polish step plus the grid winner, the bracket midpoint
+        # and the origin: about 10 per search; recomputing f inside f' took 17
         horner = PowerSeries.__call__
         exponent, calls = [None], []
 
@@ -385,7 +424,7 @@ class TestPolish:
             trial = draw_trial(7, index)
             exponent[0] = trial.exponent
             find_min_on_disk(ExpSeriesFunction(trial.a0, trial.exponent), trial.r, grid=4096)
-        assert len(calls) / 50 <= 13
+        assert len(calls) / 50 <= 11
 
 
 class _NotAnalytic(AnalyticFunction):
@@ -421,17 +460,20 @@ class TestFindMaxOnDisk:
             find_max_on_disk(_NotAnalytic(), 0.5)
 
     def test_samples_no_interior_circles(self):
-        # the maximum sits on the boundary, so the search samples the circle
-        # grid and one boundary ring, never an interior circle
+        # the maximum sits on the boundary, so the search samples only that
+        # circle: once at the default grid, which holds the 256-point
+        # boundary ring, and twice beside a 100-point grid, which does not
         radii = []
 
         class Spy(Reciprocal):
             def on_circle(self, r, samples):
-                radii.append(r)
+                radii.append((r, samples))
                 return super().on_circle(r, samples)
 
         find_max_on_disk(Spy(ExampleFamily(0.8, 2)), 0.5)
-        assert len(radii) == 2 and set(radii) == {0.5}
+        assert radii == [(0.5, 256)]
+        find_max_on_disk(Spy(ExampleFamily(0.8, 2)), 0.5, grid=100)
+        assert radii[1:] == [(0.5, 100), (0.5, 256)]
 
     def test_certificate_refines_a_flat_grid(self):
         # the flat 8-point grid of z^8 is refined until the peak at
@@ -441,6 +483,21 @@ class TestFindMaxOnDisk:
         assert res.grid_size > 8
         assert res.value == pytest.approx(1.0 + 0.5 * 0.9**8, abs=1e-12)
         assert abs(np.exp(1j * (8 * res.theta + 0.7)) - 1.0) < 1e-8
+
+    def test_narrow_peak_between_default_grid_nodes(self):
+        # f(0) = 0 and no term dominates, as in the maximum lemma.  The
+        # degree-512 spike peaks midway between two nodes of the 256-point
+        # grid and vanishes at every node, where only 50 z + 40 z^2 shows;
+        # the grid is also the boundary ring, so only the bound on
+        # (|f|^2)'' can send the search to the spike
+        r, theta0 = 0.99, np.pi / 2 + np.pi / 256
+        spike = 0.5 * (np.exp(-1j * theta0) / r) ** np.arange(1, 513)
+        f = SeriesFunction(PowerSeries(0.0, 1, spike + np.r_[50.0, 40.0, np.zeros(510)]))
+        assert np.abs(f.on_circle(r, 256)).max() < 90
+        res = find_max_on_disk(f, r)
+        fine = np.abs(f.on_circle(r, 1 << 16)).max()
+        assert res.grid_size > 256
+        assert fine * (1 - 1e-12) <= res.value <= fine * np.exp(res.certified_gap)
 
     def test_boundary_ring_catches_grid_miss(self):
         # a curvature bound of 0 trusts the flat grid, which misses the

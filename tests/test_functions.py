@@ -462,8 +462,91 @@ class TestLogModulusCurvature:
     def test_reciprocal(self, rng):
         self.check(lambda: (Reciprocal(SeriesFunction(tame_series(rng))), rng.uniform(0.1, 0.95)), rng)
 
-    def test_series_without_rouche_margin_is_unbounded(self):
+    def test_series_dominated_by_a_later_term(self, rng):
+        # the Rouche margin is taken against the largest term a_j z^j
+        def make():
+            r = rng.uniform(0.3, 0.95)
+            s = random_series(rng, n=1, degree=int(rng.integers(2, 9)))
+            j = int(rng.integers(1, s.order + 1))
+            terms = np.abs(s.coeffs) * r ** np.arange(1, s.order + 1)
+            others = abs(s.a0) + terms.sum() - terms[j - 1]
+            c = s.coeffs.copy()
+            c[j - 1] *= rng.uniform(1.02, 2.0) * others / terms[j - 1]
+            return SeriesFunction(PowerSeries(s.a0, 1, c)), r
+
+        self.check(make, rng)
+
+    def test_series_without_a_dominant_term(self, rng):
+        # zeros at least 0.1 from the circle: the sampled floor of |f|
+        # stands in for the margin when no term dominates
+        def make():
+            count = int(rng.integers(1, 7))
+            inside = rng.random(count) < 0.5
+            moduli = np.where(inside, rng.uniform(0.05, 0.5, count), rng.uniform(1.5, 3.0, count))
+            c = np.poly(moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, count)))[::-1]
+            return SeriesFunction(PowerSeries(c[0], 1, c[1:])), rng.uniform(0.6, 0.95)
+
+        self.check(make, rng)
+
+    def test_monomial_is_flat(self):
+        assert SeriesFunction(PowerSeries(0.0, 3, [2j])).log_modulus_curvature(0.7) == 0.0
+
+    def test_zero_on_the_circle_is_unbounded(self):
         f = SeriesFunction(PowerSeries(0.5, 1, [1.0]))
         assert np.isfinite(f.log_modulus_curvature(0.4))
-        assert f.log_modulus_curvature(0.6) == np.inf
-        assert Reciprocal(f).log_modulus_curvature(0.6) == np.inf
+        assert np.isfinite(f.log_modulus_curvature(0.6))
+        assert f.log_modulus_curvature(0.5) == np.inf
+        assert Reciprocal(f).log_modulus_curvature(0.5) == np.inf
+
+
+class TestRotationOrder:
+    def test_per_class(self):
+        assert SeriesFunction(PowerSeries(1.0, 2, [0.1, 0.0, 0.2])).rotation_order() == 2
+        assert SeriesFunction(PowerSeries(1.0, 3, [0.1, 0.0, 0.0, 0.2j])).rotation_order() == 3
+        assert SeriesFunction(PowerSeries(1.0, 2, [0.1, 0.1])).rotation_order() == 1
+        assert SeriesFunction(PowerSeries(2.0, 1, [])).rotation_order() == 1
+        assert ExpSeriesFunction(1.0, PowerSeries(0.0, 4, [0.3, 0.0, 0.0, 0.0, 0.1])).rotation_order() == 4
+        assert ExampleFamily(0.8, 5).rotation_order() == 5
+        assert Reciprocal(ExampleFamily(0.8, 5)).rotation_order() == 5
+
+    def test_rotation_leaves_f_unchanged(self, rng):
+        functions = (
+            SeriesFunction(PowerSeries(0.7, 3, [0.2, 0.0, 0.0, -0.1j])),
+            ExpSeriesFunction(1.2j, PowerSeries(0.0, 2, [0.3, 0.0, 0.4 - 0.1j])),
+            ExampleFamily(0.9 * np.exp(1j), 4),
+            Reciprocal(ExampleFamily(0.6, 3)),
+        )
+        for f in functions:
+            w = np.exp(2j * np.pi / f.rotation_order())
+            assert f.rotation_order() > 1
+            for z in 0.8 * np.exp(1j * rng.uniform(0, 2 * np.pi, 5)):
+                assert complex(f.value(w * z)) == pytest.approx(complex(f.value(z)), abs=1e-12)
+
+
+def square_modulus_second_derivative(f: AnalyticFunction, z: complex) -> float:
+    """``d^2/dtheta^2 |f(r e^{i theta})|^2`` at ``z``: ``2 Re(conj(f) F'') + 2 |F'|^2``.
+
+    ``F' = i z f'`` and ``F'' = -(z f' + z^2 f'')`` are the angular derivatives of f.
+    """
+    v, d1, d2 = f.jet(z)
+    return float(2.0 * (np.conj(v) * -(z * d1 + z * z * d2)).real + 2.0 * abs(z * d1) ** 2)
+
+
+class TestSquareModulusCurvature:
+    def test_series_function(self, rng):
+        # dense tails of any size, with and without a dominant term, up to
+        # degree 40, where the Bernstein bound D^2 B^2 can win
+        for _ in range(50):
+            s = random_series(rng, degree=int(rng.integers(1, 41)), a0_modulus=(0.0, 2.0))
+            f, r = SeriesFunction(s), rng.uniform(0.1, 0.99)
+            bound = f.square_modulus_curvature(r)
+            thetas = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(256) / 256
+            sampled = max(abs(square_modulus_second_derivative(f, r * np.exp(1j * t))) for t in thetas)
+            assert np.isfinite(bound)
+            assert sampled <= bound * (1 + 1e-12)
+
+    def test_monomial_is_flat(self):
+        assert SeriesFunction(PowerSeries(0.0, 3, [2j])).square_modulus_curvature(0.7) == 0.0
+
+    def test_default_is_unbounded(self):
+        assert Reciprocal(SeriesFunction(PowerSeries(1.0, 1, [0.5]))).square_modulus_curvature(0.5) == np.inf
