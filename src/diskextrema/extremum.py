@@ -243,10 +243,10 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     # spread admits every one.
     key = sign * moduli
     winner = int(np.argmin(key))
-    around = np.concatenate((key[-1:], key, key[:1]))
-    local = (key < around[:-2]) & (key <= around[2:])
-    local &= key <= sign * moduli[winner] * math.exp(sign * min(slack, spread))
-    local[winner] = False
+    near = np.flatnonzero(key <= key[winner] * math.exp(sign * min(slack, spread)))
+    near_key = key[near]
+    local = (near_key < key[near - 1]) & (near_key <= key[(near + 1) % samples])
+    candidates = near[local & (near != winner)].tolist()
     # A candidate within a grid step of a rotated copy of a basin already
     # polished (f(e^{2 pi i/d} z) = f(z)) is that copy; it is skipped.
     order = f.rotation_order()
@@ -254,7 +254,7 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     best = None
     polished = []
     iterations = 0
-    for index in (winner, *np.flatnonzero(local).tolist()):
+    for index in (winner, *candidates):
         theta = TAU * index / samples  # the profile's own grid angle
         if order > 1 and _is_rotated_copy(theta, polished, order, step):
             continue
