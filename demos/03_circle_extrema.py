@@ -60,9 +60,10 @@ fz0, d1, _ = family.jet(result.z0)
 ratio = result.z0 * d1 / fz0
 print(f"  Im(z0 f'/f) at the minimizer: {ratio.imag:.2e}")
 
-# The disk search reduces to the boundary circle once f.count_zeros finds
-# no zeros inside (none by construction for this family), and
-# cross-checks against the origin and a 256-point boundary ring.
+# The disk search reduces to the boundary circle once f.count_zeros, asked
+# about the samples of the search's grid, finds no zeros inside (none by
+# construction for this family), and cross-checks against the origin and
+# a 256-point boundary ring, which the default grid already holds.
 disk = find_min_on_disk(family, r)
 print(f"\ndisk minimum equals circle minimum: {disk.value == result.value}")
 

@@ -13,7 +13,7 @@ Four subcommands:
 mode prints it as ``key = value`` lines, with dotted keys for nested fields.
 
 Exit codes, stable across commands: 0 success, 1 a verified inequality
-failed, 2 usage/parse/precondition error.
+failed, 2 usage/parse/precondition error or a ``--grid`` too large to allocate.
 """
 
 from __future__ import annotations
@@ -337,14 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConstantFunction as exc:
         sys.stderr.write(f"error: constant function: {exc}\n")
         return EXIT_USAGE
-    except (DomainError, SeriesFormatError) as exc:
+    except (DomainError, SeriesFormatError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except DiskExtremaError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_USAGE
 
 

@@ -7,9 +7,9 @@ of the coefficients scaled by ``r^k`` (folded modulo the grid size when
 the order exceeds it), for other functions a vectorized ``value`` call
 at the same points.
 
-The grid is certified by ``K = f.log_modulus_curvature(r)``, a bound on
-``|u''|`` for ``u(theta) = log|f(r e^{i theta})|``: between two nodes
-``delta`` apart, ``u`` stays above the lower node minus
+The grid is certified by ``K = f.log_modulus_curvature(r, moduli)``, a
+bound on ``|u''|`` for ``u(theta) = log|f(r e^{i theta})|``: between two
+nodes ``delta`` apart, ``u`` stays above the lower node minus
 ``slack = K delta^2 / 8`` and below the higher node plus it.  A maximum
 search takes ``C = f.square_modulus_curvature(r)``, a bound on the
 curvature of ``|f|^2``, when f has one: with ``x = C delta^2 / (8 H^2)``
@@ -18,11 +18,12 @@ local maximum to its nearest node, so ``slack = -log(1 - x) / 2``; no
 floor of ``|f|`` enters, which keeps functions with zeros near the
 circle cheap.  The grid starts at the requested size and doubles while
 the slack exceeds 1/16 of the grid's log-modulus spread plus a rounding
-floor, up to the zero count's cap of ``2^20`` samples; a function with
-no bound keeps the first grid.  Every grid-local extremum whose modulus
-is within a factor ``e^slack`` of the grid winner's may hold the true
-extremum, so each one is refined, the winner first, and the best result
-wins (the earlier on a tie).  For ``f(e^{2 pi i/d} z) = f(z)``, with
+floor, or while f needs finer samples to bound ``K``, up to the zero
+count's cap of ``2^20`` samples; a function with no bound keeps its
+grid.  Every grid-local extremum whose modulus is within a factor
+``e^slack`` of the grid winner's may hold the true extremum, so each
+one is refined, the winner first, and the best result wins (the earlier
+on a tie).  For ``f(e^{2 pi i/d} z) = f(z)``, with
 ``d = f.rotation_order()``, a candidate within one grid step of a
 rotated copy of an extremum already refined is that copy and is
 skipped.  The located modulus is then within the slack of the true
@@ -60,12 +61,13 @@ width.
 Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
 so is the minimum when the function has no zeros there.  The minimum
-search asks ``f.count_zeros`` for the zeros inside the circle first.
+search asks ``f.count_zeros`` about each grid's samples, after the check
+for a zero on a node, and doubles a grid too coarse to settle the count.
 Both disk searches check their result against the origin and one
 256-point boundary ring, which catches functions that are not analytic
 and a curvature bound that is wrong.  The result is no worse than any
-node of the search's own grids, so when the first grid is a multiple of
-256 points it holds the ring and only the origin is sampled.
+node of the final grid, so when that grid is a multiple of 256 points it
+holds the ring and only the origin is sampled.
 """
 
 from __future__ import annotations
@@ -119,11 +121,15 @@ class ExtremumResult:
     certified_gap: float
 
 
-def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) -> np.ndarray:
-    """``(samples, 2)`` array of rows ``(theta_k, |f(r e^{i theta_k})|)`` on a uniform grid."""
+def _require_grid(r: float, samples: int) -> None:
     _require_radius(r)
     if samples < 8:
         raise DomainError(f"need at least 8 samples, got {samples}")
+
+
+def modulus_profile(f: AnalyticFunction, r: float, samples: int = DEFAULT_GRID) -> np.ndarray:
+    """``(samples, 2)`` array of rows ``(theta_k, |f(r e^{i theta_k})|)`` on a uniform grid."""
+    _require_grid(r, samples)
     thetas = TAU * np.arange(samples) / samples
     return np.column_stack((thetas, np.abs(f.on_circle(r, samples))))
 
@@ -207,34 +213,45 @@ def _polish(f: AnalyticFunction, r: float, theta: float, step: float, walk: int,
     return theta, value, bracket, iterations
 
 
-def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
+def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool, disk: bool) -> ExtremumResult:
+    """The certified search; ``disk`` adds a minimum's zero count and the origin and ring check."""
+    _require_grid(r, grid)
     sign = 1.0 if minimize else -1.0
-    samples = grid
-    moduli = modulus_profile(f, r, samples)[:, 1]
     # A maximum search takes the bound on (|f|^2)'' when f has one, which
     # needs no floor of |f|; otherwise the bound on (log|f|)''.
     square = math.inf if minimize else f.square_modulus_curvature(r)
-    curvature = f.log_modulus_curvature(r) if square == math.inf else math.inf
-    bounded = curvature < math.inf or square < math.inf
+    zeros = None if disk and minimize else 0
+    samples = grid
     while True:
+        values = f.on_circle(r, samples)
+        moduli = np.abs(values)
         low, high = float(moduli.min()), float(moduli.max())
         if minimize and low < ZERO_THRESHOLD:
             raise ZeroOnCircle(
                 f"|f| = {low:.3e} on |z| = {r}; the function vanishes on the circle"
             )
+        if zeros is None:
+            zeros = f.count_zeros(r, values)
+            if zeros:
+                raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
+        # The slack stays None while the count or the bound needs finer samples.
         step = TAU / samples
-        if square < math.inf:
+        if zeros is None:
+            slack = None
+        elif square < math.inf:
             # |f|^2 drops at most x high^2 from a local maximum to its
             # nearest node, and rises at most that above the highest node.
             x = square * step**2 / (8.0 * high * high) if square else 0.0
-            slack = -0.5 * math.log1p(-x) if x < 1.0 else math.inf
+            slack = -0.5 * math.log1p(-x) if x < 1.0 else None
         else:
-            slack = curvature * step**2 / 8.0
+            curvature = f.log_modulus_curvature(r, moduli)
+            slack = None if curvature is None else curvature * step**2 / 8.0
         spread = math.log(high) - math.log(low) if low > 0.0 else math.inf
-        if not bounded or slack <= spread / 16.0 + _ROUNDING or 2 * samples > _WINDING_CAP:
+        done = slack is not None and (slack == math.inf or slack <= spread / 16.0 + _ROUNDING)
+        if done or 2 * samples > _WINDING_CAP:
             break
         samples *= 2
-        moduli = modulus_profile(f, r, samples)[:, 1]
+    slack = math.inf if slack is None else slack
 
     # Grid winner: first index attaining the extremum, i.e. the smallest
     # theta; then every other grid-local extremum (strictly better than its
@@ -264,6 +281,16 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
         if best is None or sign * (value - best[1]) < 0.0:
             best = (theta, value, bracket)
     theta, value, bracket = best
+    if disk:
+        # A ring that the final grid holds adds nothing: the result beats its nodes.
+        edges = np.array([abs(complex(f.value(0j)))])
+        if samples % BOUNDARY_RING:
+            edges = np.append(np.abs(f.on_circle(r, BOUNDARY_RING)), edges)
+        edge = sign * float((sign * edges).min())
+        if sign * value > sign * edge + INTERIOR_TOL:
+            error = InteriorBelowBoundary if minimize else InteriorAboveBoundary
+            relation = "undercuts located minimum" if minimize else "exceeds located maximum"
+            raise error(f"boundary ring or origin sample {edge:.17g} {relation} {value:.17g}")
     return ExtremumResult(
         theta=theta,
         z0=complex(r * np.exp(1j * theta)),
@@ -295,7 +322,7 @@ def find_min_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) 
     candidate is kept: the grid winner, then increasing grid angle.  That
     is a reporting convention, not a uniqueness claim.
     """
-    return _search_circle(f, r, grid, minimize=True)
+    return _search_circle(f, r, grid, minimize=True, disk=False)
 
 
 def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
@@ -304,56 +331,27 @@ def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) 
     A function that bounds the curvature of ``|f|^2`` is certified by that
     bound rather than by the curvature of ``log|f|``.
     """
-    return _search_circle(f, r, grid, minimize=False)
-
-
-def _search_disk(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
-    _require_radius(r)
-    if minimize:
-        zeros = f.count_zeros(r, grid)
-        if zeros:
-            raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
-    result = find_min_on_circle(f, r, grid) if minimize else find_max_on_circle(f, r, grid)
-    # The result is no worse than any node of the search's grids, so a
-    # ring that the first grid holds has nothing to add to the origin.
-    samples = np.array([abs(complex(f.value(0j)))])
-    if grid % BOUNDARY_RING:
-        samples = np.append(np.abs(f.on_circle(r, BOUNDARY_RING)), samples)
-    if minimize:
-        edge = float(samples.min())
-        if result.value > edge + INTERIOR_TOL:
-            raise InteriorBelowBoundary(
-                f"boundary ring or origin sample {edge:.17g} "
-                f"undercuts located minimum {result.value:.17g}"
-            )
-    else:
-        edge = float(samples.max())
-        if result.value < edge - INTERIOR_TOL:
-            raise InteriorAboveBoundary(
-                f"boundary ring or origin sample {edge:.17g} "
-                f"exceeds located maximum {result.value:.17g}"
-            )
-    return result
+    return _search_circle(f, r, grid, minimize=False, disk=False)
 
 
 def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
     """Minimize |f| over the closed disk ``|z| <= r``.
 
     For a zero-free analytic function the minimum sits on the boundary
-    circle, so the search delegates there once ``f.count_zeros(r, grid)``
-    finds no zero inside.  The result must not exceed |f| at the origin
-    or on a 256-point boundary ring (sampled only when the grid does not
-    hold it); a non-analytic f, or one whose curvature bound is wrong, can
-    exceed it.
+    circle, so the search delegates there once ``f.count_zeros`` finds no
+    zero inside from the samples of one of its grids.  The result must not
+    exceed |f| at the origin or on a 256-point boundary ring (sampled only
+    when the final grid does not hold it); a non-analytic f, or one whose
+    curvature bound is wrong, can exceed it.
     """
-    return _search_disk(f, r, grid, minimize=True)
+    return _search_circle(f, r, grid, minimize=True, disk=True)
 
 
 def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
     """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary).
 
     The result must reach |f| at the origin and on a 256-point boundary
-    ring (sampled only when the grid does not hold it); a non-analytic f,
+    ring (sampled only when the final grid does not hold it); a non-analytic f,
     or one whose curvature bound is wrong, can fall short.
     """
-    return _search_disk(f, r, grid, minimize=False)
+    return _search_circle(f, r, grid, minimize=False, disk=True)

@@ -21,15 +21,17 @@ the FFT of :meth:`PowerSeries.on_circle`.
 ``count_zeros`` counts the zeros inside a circle, the hypothesis of every
 minimum-modulus statement.  The exponential, the reference family and the
 reciprocal have none by construction.  A series tries Rouche's theorem
-against its constant term and otherwise takes the winding number of its
-circle samples, on a grid fine enough that the winding is exact.
+against its constant term and otherwise takes the winding number of the
+circle samples it is given, once they are fine enough to make it exact.
 
 ``log_modulus_curvature`` bounds ``|d^2/dtheta^2 log|f(r e^{i theta})||``
-on a circle in closed form, which is what lets the extremum search trust
-a coarse grid: between two nodes ``delta`` apart the log-modulus can dip
-below the lower node by at most ``K delta^2 / 8``.  ``rotation_order``
-names the ``d`` with ``f(e^{2 pi i/d} z) = f(z)``, so that the search
-polishes one basin of each set of rotated copies.
+on a circle, which is what lets the extremum search trust a coarse grid:
+between two nodes ``delta`` apart the log-modulus can dip below the lower
+node by at most ``K delta^2 / 8``.  A series with no dominant term floors
+``|f|`` from the grid's moduli.  Both methods answer None on samples too
+coarse for them.  ``rotation_order`` names the ``d`` with
+``f(e^{2 pi i/d} z) = f(z)``, so that the search polishes one basin of
+each set of rotated copies.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ _ROUNDING = 64 * np.finfo(np.float64).eps
 #: take; it also keeps the summed phase rounding, about
 #: ``M^2 * _ROUNDING``, far below pi.
 _WINDING_CAP = 1 << 20
-#: First grid on which a series without a Rouche margin looks for a floor of ``|f|``.
-_FLOOR_SAMPLES = 64
 
 
 @lru_cache(maxsize=8)
@@ -116,17 +116,18 @@ class AnalyticFunction(ABC):
         """True when f is numerically indistinguishable from its value ``a0``."""
 
     @abstractmethod
-    def count_zeros(self, r: float, samples: int) -> int:
+    def count_zeros(self, r: float, values: np.ndarray) -> int | None:
         """Number of zeros in ``|z| < r``, with multiplicity.
 
-        ``samples`` is the coarsest circle grid a sampling method may use.
+        ``values`` are f at ``M`` equispaced points of the circle; None: too coarse.
         """
 
     @abstractmethod
-    def log_modulus_curvature(self, r: float) -> float:
+    def log_modulus_curvature(self, r: float, moduli: np.ndarray) -> float | None:
         """``K >= max |d^2/dtheta^2 log|f(r e^{i theta})||`` on ``|z| = r``.
 
-        ``math.inf`` when the class cannot bound it on this circle.
+        ``moduli`` are ``|f|`` at ``M`` equispaced points; None when too
+        coarse, ``math.inf`` when the class cannot bound ``K`` on this circle.
         """
 
     def square_modulus_curvature(self, r: float) -> float:
@@ -174,43 +175,44 @@ class SeriesFunction(AnalyticFunction):
     def rotation_order(self) -> int:
         return _rotation_order(self.series)
 
-    def _floored_circle(self, r: float, samples: int, noise: float):
-        """Circle samples on a grid fine enough that ``|f|`` has a floor between them.
+    def _floor(self, r: float, moduli: np.ndarray) -> float | None:
+        """A floor of ``|f|`` on ``|z| = r`` from its ``moduli`` at ``M`` equispaced points.
 
-        With ``M`` samples ``z_j``, ``|f|`` stays above
-        ``min_j |f(z_j)| - (pi / M) S1 - noise`` on the whole circle, where
-        ``S1 = sum k |a_k| r^k`` bounds ``r max |f'|``.  ``M`` doubles from
-        ``samples`` until ``(2 pi / M) S1 + noise < min_j |f(z_j)|``, so
-        that the floor is positive and each phase step between neighbours
-        is the principal one.  Returns the samples and the floor, which is
-        None when the circle needs more than ``_WINDING_CAP`` samples.
+        ``|f|`` stays above ``min_j |f(z_j)| - (pi / M) S1 - noise`` on the
+        whole circle, where ``S1 = sum k |a_k| r^k`` bounds ``r max |f'|``.
+        That floor is returned once ``(2 pi / M) S1 + noise < min_j |f(z_j)|``,
+        so that it is positive and each phase step between neighbours is
+        the principal one.  Before that, None asks for a grid twice as
+        fine, and 0 says that no grid within ``_WINDING_CAP`` samples gets
+        there (a zero on the circle or too close to it).
         """
-        slope = _tail_moment(self.series, r, 1)
-        m = samples
-        while True:
-            values = self.on_circle(r, m)
-            low = float(np.abs(values).min())
-            if TAU / m * slope + noise < low:
-                return values, float(low - 0.5 * TAU / m * slope - noise)
-            if TAU / _WINDING_CAP * slope + noise >= low:
-                return values, None
-            m *= 2
+        s = self.series
+        slope = _tail_moment(s, r, 1)
+        noise = _ROUNDING * (abs(s.a0) + _tail_moment(s, r, 0))
+        m = len(moduli)
+        low = float(moduli.min())
+        if TAU / m * slope + noise < low:
+            return low - 0.5 * TAU / m * slope - noise
+        if TAU / _WINDING_CAP * slope + noise >= low or 2 * m > _WINDING_CAP:
+            return 0.0
+        return None
 
-    def count_zeros(self, r: float, samples: int) -> int:
-        """Rouche's theorem when ``|a0| > sum |a_k| r^k``, else the winding number on ``|z| = r``.
+    def count_zeros(self, r: float, values: np.ndarray) -> int | None:
+        """Rouche's theorem when ``|a0| > sum |a_k| r^k``, else the winding number of ``values``.
 
-        The winding is taken on the samples of :meth:`_floored_circle`,
-        from ``samples`` up, on which it is exact; a circle with no floor
-        raises DomainError.  Both tests allow for the rounding of the sums.
+        The winding is exact on samples that :meth:`_floor` floors; a circle
+        that no grid within the cap floors raises DomainError.  Both tests
+        allow for the rounding of the sums.
         """
         _require_radius(r)
         s = self.series
         tail = _tail_moment(s, r, 0)
-        noise = _ROUNDING * (abs(s.a0) + tail)
-        if tail + noise < abs(s.a0):
+        if tail + _ROUNDING * (abs(s.a0) + tail) < abs(s.a0):
             return 0
-        values, floor = self._floored_circle(r, samples, noise)
+        floor = self._floor(r, np.abs(values))
         if floor is None:
+            return None
+        if not floor:
             raise DomainError(
                 f"cannot count zeros in |z| < {r} with {_WINDING_CAP} samples: "
                 f"min |f| on the circle is {float(np.abs(values).min()):.3e}"
@@ -225,7 +227,7 @@ class SeriesFunction(AnalyticFunction):
             return s.n + int(terms.argmax())
         return 0
 
-    def log_modulus_curvature(self, r: float) -> float:
+    def log_modulus_curvature(self, r: float, moduli: np.ndarray) -> float | None:
         """``S2/L + (S1/L)^2`` with ``S_p = sum_{k != j} |k - j|^p |a_k| r^k`` and ``L <= min |f|``.
 
         ``a_j z^j`` is the largest term on the circle.  There
@@ -235,9 +237,9 @@ class SeriesFunction(AnalyticFunction):
         ``|G''| <= S2`` and ``|G| = |f| >= L``.  ``L`` is the Rouche margin
         ``|a_j| r^j - S0`` of f against its largest term when that is
         positive (for ``j = 0`` the margin of :meth:`count_zeros`), else
-        the floor of :meth:`_floored_circle` from ``_FLOOR_SAMPLES``
-        samples up; a circle with no floor (a zero on it or too close)
-        gives ``inf``.  A monomial gets ``0``.
+        the :meth:`_floor` of ``moduli``: None while they are too coarse
+        for it, and ``inf`` when no grid floors ``|f|`` (a zero on the
+        circle or too close).  A monomial gets ``0``.
         """
         _require_radius(r)
         s = self.series
@@ -245,10 +247,9 @@ class SeriesFunction(AnalyticFunction):
         tail = _tail_moment(s, r, 0, j)
         margin = (abs(s.a0) if j == 0 else abs(s.coeffs[j - s.n]) * r**j) - tail
         if margin <= 0.0:
-            noise = _ROUNDING * (abs(s.a0) + _tail_moment(s, r, 0))
-            _, margin = self._floored_circle(r, _FLOOR_SAMPLES, noise)
-            if margin is None:
-                return math.inf
+            margin = self._floor(r, moduli)
+            if not margin:
+                return None if margin is None else math.inf
         slope = _tail_moment(s, r, 1, j) / margin
         return _tail_moment(s, r, 2, j) / margin + slope * slope
 
@@ -338,13 +339,13 @@ class ExampleFamily(AnalyticFunction):
     def is_constant(self) -> bool:
         return False  # the z^n coefficient is u with |u| = 1
 
-    def count_zeros(self, r: float, samples: int) -> int:
+    def count_zeros(self, r: float, values: np.ndarray) -> int:
         return 0  # zeros only at |z|^n = |a0| / ||a0| - 1| > 1
 
     def rotation_order(self) -> int:
         return self.n  # f is a function of z^n
 
-    def log_modulus_curvature(self, r: float) -> float:
+    def log_modulus_curvature(self, r: float, moduli: np.ndarray) -> float:
         """``n^2 [q1/(1-q1)^2 + q2/(1-q2)^2]``, ``q1 = |1 - 1/|a0|| r^n``, ``q2 = r^n``.
 
         ``f = a0 (1 - c w)/(1 - w)`` with ``w = z^n`` and ``c = 1 - u/a0``,
@@ -434,13 +435,13 @@ class ExpSeriesFunction(AnalyticFunction):
     def is_constant(self) -> bool:
         return self.h.is_constant()
 
-    def count_zeros(self, r: float, samples: int) -> int:
+    def count_zeros(self, r: float, values: np.ndarray) -> int:
         return 0  # exp never vanishes
 
     def rotation_order(self) -> int:
         return _rotation_order(self.h)
 
-    def log_modulus_curvature(self, r: float) -> float:
+    def log_modulus_curvature(self, r: float, moduli: np.ndarray) -> float:
         """``sum k^2 |h_k| r^k``, since ``log|f| = log|a0| + Re h``."""
         return _tail_moment(self.h, r, 2)
 
@@ -473,11 +474,11 @@ class Reciprocal(AnalyticFunction):
     def is_constant(self) -> bool:
         return self.inner.is_constant()
 
-    def count_zeros(self, r: float, samples: int) -> int:
+    def count_zeros(self, r: float, values: np.ndarray) -> int:
         return 0  # 1/f never vanishes
 
     def rotation_order(self) -> int:
         return self.inner.rotation_order()
 
-    def log_modulus_curvature(self, r: float) -> float:
-        return self.inner.log_modulus_curvature(r)  # log|1/f| = -log|f|
+    def log_modulus_curvature(self, r: float, moduli: np.ndarray) -> float | None:
+        return self.inner.log_modulus_curvature(r, 1.0 / moduli)  # log|1/f| = -log|f|

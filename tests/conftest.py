@@ -99,11 +99,11 @@ class Rotated(AnalyticFunction):
     def is_constant(self) -> bool:
         return self.inner.is_constant()
 
-    def count_zeros(self, r: float, samples: int) -> int:
-        return self.inner.count_zeros(r, samples)
+    def count_zeros(self, r: float, values):
+        return self.inner.count_zeros(r, values)  # equispaced samples of inner, offset by phi
 
-    def log_modulus_curvature(self, r: float) -> float:
-        return self.inner.log_modulus_curvature(r)
+    def log_modulus_curvature(self, r: float, moduli):
+        return self.inner.log_modulus_curvature(r, moduli)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import pytest
 
 import diskextrema
 from diskextrema import PowerSeries, write_series
+from diskextrema import cli
 from diskextrema.cli import build_parser, main
 from diskextrema.lemma import format_doc
 
@@ -377,6 +378,18 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["example", "--n", "2", "--r", "0.5"])  # missing a0
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["example", "landscape"])
+    def test_out_of_memory_is_exit_2(self, command, monkeypatch):
+        # a --grid too large to allocate; the command raises in its stead,
+        # so no test allocates a huge grid
+        def allocate(args):
+            raise MemoryError("Unable to allocate 16.0 TiB for an array with shape (1099511627776,)")
+
+        monkeypatch.setattr(cli, f"cmd_{command}", allocate)
+        code, out, err = run_cli([command, "--a0", "0.8", "--n", "2", "--r", "0.5", "--grid", "1099511627776"])
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: Unable to allocate 16.0 TiB for an array with shape (1099511627776,)\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -31,7 +31,7 @@ def constant(value: complex) -> SeriesFunction:
 class Uncertified(SeriesFunction):
     """A series that claims a flat modulus, so its first grid is trusted."""
 
-    def log_modulus_curvature(self, r: float) -> float:
+    def log_modulus_curvature(self, r: float, moduli) -> float:
         return 0.0
 
     def square_modulus_curvature(self, r: float) -> float:
@@ -243,19 +243,33 @@ class TestFindMinOnDisk:
             find_min_on_disk(f, 0.9, grid=8)
 
     def test_samples_no_interior_circles(self):
-        # the zero count and the cross-check sample whole circles of radius
-        # r, never an interior circle
-        radii = []
+        # zeros at 1.1 and 1.3: Rouche fails on |z| = 0.9, so the zero count
+        # winds around the grid's own samples, and the floor of |f| that
+        # bounds the curvature comes from them too.  Only whole circles of
+        # radius r are sampled, one per grid, and the ring only when the
+        # final grid does not hold it
+        def samples(grid: int, reciprocal: bool = False) -> list[int]:
+            calls = []
 
-        class Spy(SeriesFunction):
-            def on_circle(self, r, samples):
-                radii.append(r)
-                return super().on_circle(r, samples)
+            class Spy(SeriesFunction):
+                def on_circle(self, r, samples):
+                    calls.append((r, samples))
+                    return super().on_circle(r, samples)
 
-        # zeros at 1.1 and 1.3: Rouche fails on |z| = 0.9, so the winding samples
-        f = Spy(PowerSeries(1.43, 1, [-2.4, 1.0]))
-        assert find_min_on_disk(f, 0.9).value == pytest.approx(0.2 * 0.4, abs=1e-12)
-        assert len(radii) > 2 and set(radii) == {0.9}
+            f = Spy(PowerSeries(1.43, 1, [-2.4, 1.0]))
+            if reciprocal:
+                res = find_max_on_disk(Reciprocal(f), 0.9, grid)
+                assert res.value == pytest.approx(1.0 / (0.2 * 0.4), abs=1e-12)
+            else:
+                res = find_min_on_disk(f, 0.9, grid)
+                assert res.value == pytest.approx(0.2 * 0.4, abs=1e-12)
+            assert {r for r, _ in calls} == {0.9}
+            return [m for _, m in calls]
+
+        assert samples(256) == [256, 512]
+        assert samples(64) == [64, 128, 256, 512]
+        assert samples(100) == [100, 200, 400, 256]
+        assert samples(256, reciprocal=True) == [256, 512]
 
 
 def tangential(f, r: float, sign: float):
@@ -443,10 +457,10 @@ class _NotAnalytic(AnalyticFunction):
     def is_constant(self) -> bool:
         return False
 
-    def count_zeros(self, r: float, samples: int) -> int:
+    def count_zeros(self, r: float, values) -> int:
         return 0  # |f| >= 2 - r^2 > 1
 
-    def log_modulus_curvature(self, r: float) -> float:
+    def log_modulus_curvature(self, r: float, moduli) -> float:
         return 0.0  # |f| = 2 - r^2 on the whole circle
 
 

@@ -353,16 +353,24 @@ def product_series(zeros, scale: complex = 1.0) -> PowerSeries:
     return PowerSeries(coeffs[0], 1, coeffs[1:])
 
 
-class SampleSpy(SeriesFunction):
-    """Records the sample count of every ``on_circle`` call."""
+def settled(answer, f: AnalyticFunction, r: float, samples: int):
+    """``answer(values)`` on the first of ``samples``, ``2 samples``, ... circle grids where it is not None.
 
-    def __init__(self, series: PowerSeries):
-        super().__init__(series)
-        self.samples: list[int] = []
+    Returns that answer and the grid sizes tried, the way the extremum
+    search doubles its grid.
+    """
+    grids = [samples]
+    while (result := answer(f.on_circle(r, grids[-1]))) is None:
+        grids.append(2 * grids[-1])
+    return result, grids
 
-    def on_circle(self, r: float, samples: int):
-        self.samples.append(samples)
-        return super().on_circle(r, samples)
+
+def count_zeros(f: AnalyticFunction, r: float, samples: int = 64):
+    return settled(lambda values: f.count_zeros(r, values), f, r, samples)
+
+
+def log_modulus_curvature(f: AnalyticFunction, r: float, samples: int = 64):
+    return settled(lambda values: f.log_modulus_curvature(r, np.abs(values)), f, r, samples)[0]
 
 
 class TestCountZeros:
@@ -373,43 +381,47 @@ class TestCountZeros:
             zeros = moduli * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
             f = SeriesFunction(product_series(zeros, rng.uniform(0.5, 2.0)))
             for r in (0.1, 0.25, 0.45, 0.65, 0.9):
-                assert f.count_zeros(r, 64) == int(np.sum(moduli < r))
+                assert count_zeros(f, r)[0] == int(np.sum(moduli < r))
 
     def test_rouche_and_winding_agree(self):
-        # three zeros at modulus 1.25: Rouche settles small circles without
-        # sampling, the winding settles large ones; both must count none
+        # Rouche settles 1 + 0.9 z^8 on |z| = 0.99 even from 8 samples, too
+        # few to wind around a modulus that dips to 0.17; three zeros at
+        # modulus 1.25 leave no Rouche margin on |z| = 0.95, where the
+        # winding settles once the grid is fine enough; both count none
+        f = SeriesFunction(PowerSeries(1.0, 8, [0.9]))
+        coarse = f.on_circle(0.99, 8)
+        assert f._floor(0.99, np.abs(coarse)) is None
+        assert f.count_zeros(0.99, coarse) == 0
         zeros = 1.25 * np.exp(1j * np.array([0.4, 2.2, 4.1]))
-        for r, sampled in ((0.2, False), (0.95, True)):
-            f = SampleSpy(product_series(zeros))
-            assert f.count_zeros(r, 64) == 0
-            assert bool(f.samples) == sampled
+        f = SeriesFunction(product_series(zeros))
+        assert f.count_zeros(0.95, f.on_circle(0.95, 8)) is None
+        zeros_inside, grids = count_zeros(f, 0.95, 8)
+        assert zeros_inside == 0 and len(grids) > 1
         # and with one zero moved inside, the winding counts it
-        f = SampleSpy(product_series(np.append(zeros[:2], 0.5)))
-        assert f.count_zeros(0.95, 64) == 1
-        assert f.samples
+        assert count_zeros(SeriesFunction(product_series(np.append(zeros[:2], 0.5))), 0.95)[0] == 1
 
     def test_zero_near_the_circle_forces_resampling(self):
         # a zero 5e-4 outside or inside |z| = 0.5 at grid 8: the phase can
         # jump between 8 samples, so the count must double the grid first
         for modulus, inside in ((0.5 * (1 + 1e-3), 0), (0.5 * (1 - 1e-3), 1)):
-            f = SampleSpy(product_series([modulus * np.exp(0.3j), 2.0]))
-            assert f.count_zeros(0.5, 8) == inside
-            assert f.samples[0] == 8 and max(f.samples) >= 8 * 2**10
+            f = SeriesFunction(product_series([modulus * np.exp(0.3j), 2.0]))
+            zeros, grids = count_zeros(f, 0.5, 8)
+            assert zeros == inside and grids[-1] >= 8 * 2**10
 
     def test_cap_raises(self):
         # a zero 1e-9 from the circle would need billions of samples
         near = SeriesFunction(product_series([0.5 * (1 + 2e-9) * np.exp(0.3j), 2.0]))
         with pytest.raises(DomainError, match="cannot count zeros"):
-            near.count_zeros(0.5, 8)
+            count_zeros(near, 0.5, 8)
         on = SeriesFunction(PowerSeries(-0.5, 1, [1.0]))  # z - 0.5 vanishes on a sample
         with pytest.raises(DomainError, match="cannot count zeros"):
-            on.count_zeros(0.5, 8)
+            on.count_zeros(0.5, on.on_circle(0.5, 8))
 
     def test_zero_free_by_construction(self):
         family = ExampleFamily(0.6 * np.exp(0.4j), 3)
         exp = ExpSeriesFunction(0.55, PowerSeries(0.0, 1, [0.9, -0.6j, 0.5]))
         for f in (family, exp, Reciprocal(family), Reciprocal(exp)):
-            assert f.count_zeros(0.95, 8) == 0
+            assert f.count_zeros(0.95, f.on_circle(0.95, 8)) == 0
 
 
 def log_modulus_second_derivative(f: AnalyticFunction, z: complex) -> float:
@@ -429,7 +441,7 @@ class TestLogModulusCurvature:
     def check(self, make, rng):
         for _ in range(50):
             f, r = make()
-            bound = f.log_modulus_curvature(r)
+            bound = log_modulus_curvature(f, r)
             assert np.isfinite(bound)
             assert self.sampled(f, r, rng) <= bound * (1 + 1e-12)
 
@@ -489,14 +501,17 @@ class TestLogModulusCurvature:
         self.check(make, rng)
 
     def test_monomial_is_flat(self):
-        assert SeriesFunction(PowerSeries(0.0, 3, [2j])).log_modulus_curvature(0.7) == 0.0
+        assert log_modulus_curvature(SeriesFunction(PowerSeries(0.0, 3, [2j])), 0.7) == 0.0
 
     def test_zero_on_the_circle_is_unbounded(self):
+        # z + 0.5 vanishes at the node pi of the 64-point grid on |z| = 0.5
         f = SeriesFunction(PowerSeries(0.5, 1, [1.0]))
-        assert np.isfinite(f.log_modulus_curvature(0.4))
-        assert np.isfinite(f.log_modulus_curvature(0.6))
-        assert f.log_modulus_curvature(0.5) == np.inf
-        assert Reciprocal(f).log_modulus_curvature(0.5) == np.inf
+        assert np.isfinite(log_modulus_curvature(f, 0.4))
+        assert np.isfinite(log_modulus_curvature(f, 0.6))
+        moduli = np.abs(f.on_circle(0.5, 64))
+        assert f.log_modulus_curvature(0.5, moduli) == np.inf
+        with np.errstate(divide="ignore"):
+            assert Reciprocal(f).log_modulus_curvature(0.5, 1.0 / moduli) == np.inf
 
 
 class TestRotationOrder:
