@@ -6,7 +6,10 @@
 # maximum chain must hold for 1/f.  A single failing trial would falsify
 # the implementation (search accuracy, derivative formulas, or report
 # plumbing), not the mathematics.  Randomness is derived per-trial from
-# (seed, index), so any failure is replayable in isolation.
+# (seed, index).  The sweep runs its disk searches in batches, every
+# trial's minimum in one vector search and every maximum of 1/f in
+# another; a trial's result does not depend on its batch, so run_trial
+# replays any trial of a sweep exactly, failures included.
 
 from diskextrema import draw_trial, run_sweep, run_trial
 

@@ -19,6 +19,7 @@ failed, 2 usage/parse/precondition error or a ``--grid`` too large to allocate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -261,26 +262,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "example", parents=[disk, report], help="reproduce the closed-form reference family"
     )
-    p.set_defaults(run=cmd_example)
     _add_a0_flags(p, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser(
         "verify", parents=[disk, report], help="check a user-supplied series at its disk extremum"
     )
-    p.set_defaults(run=cmd_verify)
     p.add_argument("--input", required=True, help="series literal file")
     p.add_argument("--mode", choices=("min", "max"), default="min")
 
     p = sub.add_parser("sweep", parents=[grid, report], help="seeded randomized falsification sweep")
-    p.set_defaults(run=cmd_sweep)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser(
         "landscape", parents=[disk], help="export a theta,modulus CSV of the circle profile"
     )
-    p.set_defaults(run=cmd_landscape)
     _add_a0_flags(p, required=False)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--input", default=None, help="series literal file instead of family flags")
@@ -326,11 +323,18 @@ def _validate(args: argparse.Namespace) -> None:
         raise DomainError("--a0-arg applies only with --a0-mod")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once: parsing returns a new namespace and leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate(args)
-        return args.run(args)
+        # Looked up at each call, like every other module global.
+        return globals()[f"cmd_{args.command}"](args)
     except (ZeroInDisk, ZeroOnCircle) as exc:
         sys.stderr.write(f"error: the function vanishes on the search region: {exc}\n")
         return EXIT_USAGE

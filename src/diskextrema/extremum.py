@@ -68,6 +68,18 @@ Both disk searches check their result against the origin and one
 and a curvature bound that is wrong.  The result is no worse than any
 node of the final grid, so when that grid is a multiple of 256 points it
 holds the ring and only the origin is sampled.
+
+A sweep searches many functions ``a0 exp(h)`` and their reciprocals at
+once (``_search_exp_batch``), with the same rules and constants: one
+``(T, M)`` inverse FFT of the stacked exponents gives every row's grid,
+``K = sum k^2 |h_k| r^k`` certifies it, and one vector Illinois loop
+polishes every candidate of every row, with the jets taken by Horner's
+rule along the coefficients.  Each row's arithmetic is elementwise, so
+its result does not depend on the rest of the batch.  The batch settles
+only rows on the common path.  A row whose grid would double, whose
+bracket holds no sign change, or that would raise, is left to the scalar
+search above, and so is every row of a grid that is not a multiple of
+256 points.
 """
 
 from __future__ import annotations
@@ -311,6 +323,173 @@ def _is_rotated_copy(theta: float, polished, order: int, step: float) -> bool:
         if k % order and abs(offset - k * period) <= step:
             return True
     return False
+
+
+def _polish_rows(sample, theta: np.ndarray, step: float, sign: float):
+    """:func:`_polish` of one candidate per row, as one vector loop.
+
+    ``sample(t)`` gives ``(f, sign * Im(z f'/f))`` at ``z = r e^{i t}``,
+    one angle per row.  Returns ``(theta, |f|, bracket width, iterations,
+    fine)``; a row whose bracket holds no sign change, which the scalar
+    polish would walk, is not ``fine``.  The loop runs on every row until
+    the last one settles, and a row's bracket and step count change only
+    while it is active.
+    """
+    value = np.abs(sample(theta)[0])
+    lo, hi = theta - step, theta + step
+    glo, ghi = sample(lo)[1], sample(hi)[1]
+    fine = (glo > 0.0) & (ghi < 0.0)
+    kept = np.zeros(len(theta))  # +1 when the last step kept hi, -1 when it kept lo
+    slow = np.zeros(len(theta), dtype=int)  # steps in a row that did not halve the bracket
+    iterations = np.zeros(len(theta), dtype=int)
+    active = fine & (hi - lo > POLISH_TARGET)
+    while active.any():
+        width = hi - lo
+        bisect = slow >= 2
+        secant = np.minimum(
+            np.maximum(lo + width * glo / (glo - ghi), lo + 0.5 * POLISH_TARGET),
+            hi - 0.5 * POLISH_TARGET,
+        )
+        t = np.where(bisect, 0.5 * (lo + hi), secant)
+        gt = sample(t)[1]
+        side = np.sign(gt)
+        # The g kept at an end that survives a second step in a row is halved.
+        halve = np.where(side == kept, 0.5, 1.0)
+        glo = np.where(side > 0.0, gt, glo * halve)
+        ghi = np.where(side < 0.0, gt, ghi * halve)
+        kept = side
+        lo = np.where(active & (side >= 0.0), t, lo)  # gt == 0 closes the bracket at t
+        hi = np.where(active & (side <= 0.0), t, hi)
+        span = hi - lo
+        slow = np.where(bisect | (span <= 0.5 * width), 0, slow + 1)
+        iterations += active
+        active &= (span > POLISH_TARGET) & (iterations < MAX_ITERATIONS)
+    t_mid = (0.5 * (lo + hi)) % TAU
+    v_mid = np.abs(sample(t_mid)[0])
+    accept = fine & (sign * (v_mid - value) <= _ACCEPT_ULPS * np.spacing(value))
+    return (
+        np.where(accept, t_mid, theta),
+        np.where(accept, v_mid, value),
+        np.where(accept, hi - lo, 2.0 * step),
+        iterations,
+        fine,
+    )
+
+
+def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize: bool) -> list:
+    """:func:`find_min_on_disk` of ``f = a0 exp(h)``, or :func:`find_max_on_disk` of ``1/f``, for each row.
+
+    ``a0`` and ``r`` are ``(T,)`` arrays and ``h`` is ``(T, W)``, the
+    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``.
+    Each row follows the scalar search's rules on the requested grid.  A
+    row that the scalar search would refine to a finer grid, walk, or
+    raise for is None, and so is every row when ``grid`` is not a multiple
+    of ``BOUNDARY_RING``; the caller runs the scalar search for those.
+    The arithmetic is elementwise along the rows, so a row's result does
+    not depend on the other rows of its batch.
+    """
+    count = len(a0)
+    if grid < BOUNDARY_RING or grid % BOUNDARY_RING:
+        return [None] * count
+    sign = 1.0 if minimize else -1.0
+    step = TAU / grid
+    k = np.arange(h.shape[1])
+    # Rows out of range come back None, for the scalar search to raise.
+    with np.errstate(all="ignore"):
+        power = r[:, None] ** k
+        bins = np.zeros((count, grid), dtype=np.complex128)
+        bins[:, : len(k)] = h * power
+        # |a0 exp(h)| = |a0| e^{Re h}, and |1/f| is its reciprocal.
+        moduli = np.abs(a0)[:, None] * np.exp((np.fft.ifft(bins, axis=1) * grid).real)
+        if not minimize:
+            moduli = 1.0 / moduli
+        low, high = moduli.min(axis=1), moduli.max(axis=1)
+        # ExpSeriesFunction.log_modulus_curvature, which 1/f shares.
+        slack = (k * k * (np.abs(h) * power)).sum(axis=1) * step**2 / 8.0
+        spread = np.log(high) - np.log(low)
+        ok = (
+            (r > 0.0)
+            & (r < 1.0)
+            & np.isfinite(moduli).all(axis=1)
+            & (slack <= spread / 16.0 + _ROUNDING)
+            # |f| stays above low e^-slack on the whole circle, so no polish
+            # step meets the zero threshold of the scalar search.
+            & (low * np.exp(-slack) > ZERO_THRESHOLD)
+        )
+
+        # Candidates: each row's grid winner, then every other grid-local
+        # extremum within e^slack of it, in grid order.
+        key = sign * moduli
+        winner = key.argmin(axis=1)
+        limit = key[np.arange(count), winner] * np.exp(sign * np.minimum(slack, spread))
+        near = (key < np.roll(key, 1, axis=1)) & (key <= np.roll(key, -1, axis=1)) & (key <= limit[:, None])
+        near[np.arange(count), winner] = False
+        extra_rows, extra_index = np.nonzero(near & ok[:, None])
+        rows = np.concatenate((np.flatnonzero(ok), extra_rows))
+        start = TAU * np.concatenate((winner[ok], extra_index)) / grid
+
+        # Horner coefficients of h and h' for the candidates' rows, highest power first.
+        hr = h[rows]
+        derivative = np.zeros_like(hr)
+        derivative[:, :-1] = hr[:, 1:] * k[1:]
+        coeffs = np.ascontiguousarray(np.concatenate((hr, derivative))[:, ::-1].T)
+        scale, radius = a0[rows], r[rows]
+
+        def sample(t: np.ndarray):
+            z = radius * np.exp(1j * (t % TAU))
+            zz = np.concatenate((z, z))
+            acc = coeffs[0].copy()
+            for c in coeffs[1:]:
+                acc *= zz
+                acc += c
+            inner = scale * np.exp(acc[: len(rows)])  # ExpSeriesFunction.jet
+            d1 = inner * acc[len(rows) :]
+            if minimize:
+                value = inner
+            else:  # Reciprocal.jet
+                value = 1.0 / inner
+                d1 = -d1 / (inner * inner)
+            return value, sign * (z * d1 / value).imag
+
+        # Every candidate is polished in one loop; the scalar rules then
+        # pick from the results row by row, so a rotated copy that the
+        # scalar search skips costs no verdict.
+        results = _polish_rows(sample, start, step, sign)
+        z0 = (radius * np.exp(1j * results[0])).tolist()
+        theta, value, bracket, iterations, fine = (x.tolist() for x in results)
+        origin = np.abs(a0 if minimize else 1.0 / a0).tolist()  # |f(0)| = |a0 exp(0)|
+    start = start.tolist()
+    candidates: dict[int, list[int]] = {}
+    for position, row in enumerate(rows.tolist()):
+        candidates.setdefault(row, []).append(position)
+
+    out: list = [None] * count
+    for row, positions in candidates.items():
+        best, polished, steps = positions[0], [], 0
+        for p in positions:
+            if polished:
+                order = math.gcd(*np.flatnonzero(h[row]).tolist()) or 1  # rotation_order
+                if order > 1 and _is_rotated_copy(start[p], polished, order, step):
+                    continue
+            if not fine[p]:
+                break
+            polished.append(theta[p])
+            steps += iterations[p]
+            if sign * (value[p] - value[best]) < 0.0:
+                best = p
+        else:
+            # The grid is a multiple of the ring, so only the origin is checked.
+            if not sign * value[best] > sign * origin[row] + INTERIOR_TOL:
+                out[row] = ExtremumResult(
+                    theta=theta[best],
+                    z0=z0[best],
+                    value=value[best],
+                    grid_size=grid,
+                    refine_iterations=steps,
+                    bracket_width=bracket[best],
+                    certified_gap=float(slack[row]),
+                )
+    return out
 
 
 def find_min_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:

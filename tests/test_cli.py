@@ -374,6 +374,28 @@ class TestSurface:
 
 
 class TestEntryPoints:
+    def test_parser_is_built_once(self, monkeypatch):
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(["sweep", "--trials", "1", "--seed", "1"])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_flags_do_not_leak_into_the_next_call(self):
+        code, out, _ = run_cli(["sweep", "--trials", "1", "--seed", "1", "--format", "json"])
+        assert code == 0 and json.loads(out)["command"] == "sweep"
+        code, out, _ = run_cli(["sweep", "--trials", "1", "--seed", "1"])
+        assert code == 0 and out.startswith("command = sweep\n")
+
     def test_argparse_usage_error_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["example", "--n", "2", "--r", "0.5"])  # missing a0

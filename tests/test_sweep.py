@@ -1,7 +1,52 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from diskextrema import DomainError, draw_trial, run_sweep, run_trial
+from diskextrema import (
+    DEFAULT_GRID,
+    DEFAULT_TOL,
+    ConstantFunction,
+    DomainError,
+    ExpSeriesFunction,
+    PowerSeries,
+    Reciprocal,
+    check_max_lemma,
+    check_min_theorem,
+    draw_trial,
+    find_max_on_disk,
+    find_min_on_disk,
+    run_sweep,
+    run_trial,
+)
+from diskextrema import sweep
+from diskextrema.extremum import _search_exp_batch
+from diskextrema.lemma import LINK_NAMES
+
+
+def scalar_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
+    """The sweep as a loop of one scalar min and max disk search per trial."""
+    failed, gap, worst = [], 0.0, {name: math.inf for name in LINK_NAMES}
+    for index in range(trials):
+        p = draw_trial(seed, index)
+        f = ExpSeriesFunction(p.a0, p.exponent)
+        g = Reciprocal(f)
+        low = check_min_theorem(f, p.n, find_min_on_disk(f, p.r, grid).z0, tol)
+        high = check_max_lemma(g, p.n, find_max_on_disk(g, p.r, grid).z0, tol)
+        gap = max(gap, abs(low.m - high.m))
+        for report in (low, high):
+            for name, link in report.checks.items():
+                if link.margin is not None:
+                    worst[name] = min(worst[name], link.margin)
+        if not (low.passed and high.passed):
+            failed.append((index, low.to_dict(), high.to_dict()))
+    return gap, {k: None if math.isinf(v) else v for k, v in worst.items()}, failed
+
+
+def summary_fields(summary):
+    failed = [(o.params.index, o.min_report.to_dict(), o.max_report.to_dict()) for o in summary.failed]
+    return summary.max_duality_gap, summary.worst_margins, failed
 
 
 class TestDrawTrial:
@@ -77,3 +122,98 @@ class TestRunSweep:
         # a precondition like every other, so one DiskExtremaError handler catches it
         with pytest.raises(DomainError, match="need at least one trial, got -3"):
             run_sweep(-3, 1)
+
+
+class TestBatchedSearches:
+    """The batched disk searches of a sweep against the scalar ones, which are their oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42, 4510362879286407517])
+    def test_batch_matches_the_scalar_searches(self, seed):
+        trials = [draw_trial(seed, index) for index in range(100)]
+        minima, maxima = sweep._batched_searches(trials, DEFAULT_GRID)
+        steps = [0, 0]
+        for p, low, high in zip(trials, minima, maxima):
+            f = ExpSeriesFunction(p.a0, p.exponent)
+            for got, want in ((low, find_min_on_disk(f, p.r)), (high, find_max_on_disk(Reciprocal(f), p.r))):
+                assert got is not None, p.index  # the default sweep leaves no row to the scalar search
+                assert abs((got.theta - want.theta + math.pi) % (2 * math.pi) - math.pi) <= 2e-13
+                assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
+                assert got.grid_size == want.grid_size
+                assert got.certified_gap == pytest.approx(want.certified_gap, rel=1e-14, abs=0.0)
+                steps[0] += got.refine_iterations
+                steps[1] += want.refine_iterations
+        # rounding moves a step count now and then; the same Illinois steps keep the totals close
+        assert steps[0] == pytest.approx(steps[1], rel=0.01)
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_rows_that_double_or_have_no_sign_change_are_left_open(self, minimize):
+        # 0.5 z^60 at r = 0.95 needs a 512-point grid; a constant has no sign change to polish
+        h = np.zeros((3, 61), dtype=complex)
+        h[0, 60] = 0.5
+        h[2, 3], h[2, 5] = 0.3, 0.2j
+        a0, r = np.array([1.0, 0.8, 1.2 + 0.3j]), np.array([0.95, 0.5, 0.7])
+        coarse = _search_exp_batch(a0, h, r, 256, minimize)
+        assert coarse[0] is None and coarse[1] is None and coarse[2] is not None
+        fine = _search_exp_batch(a0, h, r, 512, minimize)
+        f = ExpSeriesFunction(1.0, PowerSeries(0.0, 60, [0.5]))
+        scalar = find_min_on_disk(f, 0.95) if minimize else find_max_on_disk(Reciprocal(f), 0.95)
+        assert fine[0].grid_size == scalar.grid_size == 512
+        assert fine[1] is None
+
+    @pytest.mark.parametrize("grid", [16, 100])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_coarse_grids_take_the_scalar_search(self, seed, grid):
+        # a grid that is not a multiple of the boundary ring leaves every row
+        # to the scalar search, so the summary is the per-trial loop's, bit for bit
+        assert summary_fields(run_sweep(40, seed, grid=grid)) == scalar_sweep(40, seed, grid=grid)
+
+    def test_default_sweep_makes_no_scalar_search(self, monkeypatch):
+        calls = []
+        for name in ("find_min_on_disk", "find_max_on_disk"):
+            search = getattr(sweep, name)
+            monkeypatch.setattr(sweep, name, lambda *args, _s=search: calls.append(args) or _s(*args))
+        summary = run_sweep(200, 42)
+        assert summary.passed
+        assert calls == []
+
+    def test_failed_trials_replay_exactly(self):
+        summary = run_sweep(20, 3, tol=1e-18)
+        assert summary.failures == 20
+        for outcome in summary.failed:
+            replay = run_trial(3, outcome.params.index, tol=1e-18)
+            assert outcome.min_report.to_dict() == replay.min_report.to_dict()
+            assert outcome.max_report.to_dict() == replay.max_report.to_dict()
+
+
+class TestTrialErrors:
+    """A trial's error aborts the sweep at that trial, as it did with one search per trial."""
+
+    @staticmethod
+    def patch_draws(monkeypatch, changes):
+        real = sweep.draw_trial
+
+        def draw(seed, index):
+            p = real(seed, index)
+            return dataclasses.replace(p, **changes[index](p)) if index in changes else p
+
+        monkeypatch.setattr(sweep, "draw_trial", draw)
+
+    @staticmethod
+    def constant(p):
+        return {"exponent": PowerSeries(0.0, p.n, np.zeros(len(p.exponent.coeffs)))}
+
+    def test_constant_exponent_aborts_with_its_error(self, monkeypatch):
+        self.patch_draws(monkeypatch, {3: self.constant})
+        with pytest.raises(ConstantFunction, match="^the chain is vacuous for a constant function$"):
+            run_sweep(10, 42)
+
+    def test_the_earliest_trial_error_comes_first(self, monkeypatch):
+        # trial 5's search raises, but trial 3's chain check comes before it
+        self.patch_draws(monkeypatch, {3: self.constant, 5: lambda p: {"r": 1.5}})
+        with pytest.raises(ConstantFunction):
+            run_sweep(10, 42)
+
+    def test_a_scalar_search_error_surfaces_at_its_trial(self, monkeypatch):
+        self.patch_draws(monkeypatch, {5: lambda p: {"r": 1.5}})
+        with pytest.raises(DomainError, match=r"^circle radius must lie in \(0, 1\), got 1.5$"):
+            run_sweep(10, 42)
