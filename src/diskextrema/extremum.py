@@ -1,11 +1,7 @@
 """Locate extrema of |f| on circles ``|z| = r`` and closed disks ``|z| <= r``.
 
 The search is a certified uniform angular grid followed by one
-refinement stage per candidate basin.  Each grid is sampled in one call
-of ``f.on_circle``: for a series-backed function that is one inverse FFT
-of the coefficients scaled by ``r^k`` (folded modulo the grid size when
-the order exceeds it), for other functions a vectorized ``value`` call
-at the same points.
+refinement stage per candidate basin.
 
 The grid is certified by ``K = f.log_modulus_curvature(r, moduli)``, a
 bound on ``|u''|`` for ``u(theta) = log|f(r e^{i theta})|``: between two
@@ -69,17 +65,22 @@ and a curvature bound that is wrong.  The result is no worse than any
 node of the final grid, so when that grid is a multiple of 256 points it
 holds the ring and only the origin is sampled.
 
-A sweep searches many functions ``a0 exp(h)`` and their reciprocals at
-once (``_search_exp_batch``), with the same rules and constants: one
-``(T, M)`` inverse FFT of the stacked exponents gives every row's grid,
-``K = sum k^2 |h_k| r^k`` certifies it, and one vector Illinois loop
-polishes every candidate of every row, with the jets taken by Horner's
-rule along the coefficients.  Each row's arithmetic is elementwise, so
-its result does not depend on the rest of the batch.  The batch settles
-only rows on the common path.  A row whose grid would double, whose
-bracket holds no sign change, or that would raise, is left to the scalar
-search above, and so is every row of a grid that is not a multiple of
-256 points.
+These rules are written once, for one function or for a stack of them:
+``_grid_settled`` accepts a grid, ``_candidates`` picks the candidates
+from a ``(T, M)`` grid of moduli (``T = 1`` for one function), and
+``_settle`` skips rotated copies, keeps the best basin, checks the
+origin and ring and builds the result.  The caller brings the sampler
+and the polish kernel: for one function, one ``f.on_circle`` call per
+grid and ``_polish`` on ``f.jet``.  A sweep searches the stack of its
+functions ``a0 exp(h)``, or of their reciprocals, at once
+(``_search_exp_batch``): one ``(T, M)`` inverse FFT of the exponents
+gives every row's grid, ``K = sum k^2 |h_k| r^k`` certifies it, and
+``_polish_rows`` polishes every candidate of every row in one vector
+loop, with the jets taken by Horner's rule.  Each row's arithmetic is
+elementwise, so its result does not depend on the rest of the batch.  A
+row whose grid would double, whose bracket holds no sign change, or that
+would raise is left to the one-function search, and so is every row of a
+grid that is not a multiple of 256 points.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ from .errors import (
     ZeroInDisk,
     ZeroOnCircle,
 )
-from .functions import _ROUNDING, _WINDING_CAP, TAU, AnalyticFunction, _require_radius
+from .functions import _ROUNDING, _WINDING_CAP, TAU, AnalyticFunction, _require_radius, _rotation_order
 from .lemma import ZERO_THRESHOLD
 
 #: Coarsest angular grid of a circle search; the curvature certificate refines it.
@@ -153,6 +154,7 @@ def write_profile_csv(profile, fh) -> None:
         fh.write(f"{theta:.17g},{modulus:.17g}\n")
 
 
+# Kept apart from _polish_rows, slower on one function: 1.52 -> 1.73 ms per reference_cli op (2-vCPU Xeon).
 def _polish(f: AnalyticFunction, r: float, theta: float, step: float, walk: int, sign: float):
     """Refine the grid extremum at ``theta``; ``(theta, |f|, bracket width, iterations)``.
 
@@ -259,50 +261,84 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool, dis
             curvature = f.log_modulus_curvature(r, moduli)
             slack = None if curvature is None else curvature * step**2 / 8.0
         spread = math.log(high) - math.log(low) if low > 0.0 else math.inf
-        done = slack is not None and (slack == math.inf or slack <= spread / 16.0 + _ROUNDING)
+        done = slack is not None and _grid_settled(slack, spread)
         if done or 2 * samples > _WINDING_CAP:
             break
         samples *= 2
     slack = math.inf if slack is None else slack
 
-    # Grid winner: first index attaining the extremum, i.e. the smallest
-    # theta; then every other grid-local extremum (strictly better than its
-    # left neighbour, no worse than its right one) whose modulus is within
-    # a factor e^slack of the winner's, in grid order.  A slack beyond the
-    # spread admits every one.
-    key = sign * moduli
-    winner = int(np.argmin(key))
-    near = np.flatnonzero(key <= key[winner] * math.exp(sign * min(slack, spread)))
-    near_key = key[near]
-    local = (near_key < key[near - 1]) & (near_key <= key[(near + 1) % samples])
-    candidates = near[local & (near != winner)].tolist()
-    # A candidate within a grid step of a rotated copy of a basin already
-    # polished (f(e^{2 pi i/d} z) = f(z)) is that copy; it is skipped.
-    order = f.rotation_order()
+    key = sign * moduli  # a local: freeing it before the polish made 32768-point searches 7% slower
+    _, indices = _candidates(key[None], slack, spread, sign)
 
-    best = None
-    polished = []
-    iterations = 0
-    for index in (winner, *candidates):
+    def edge() -> float:
+        edges = np.array([abs(complex(f.value(0j)))])
+        # A ring that the final grid holds adds nothing: the result beats its nodes.
+        if samples % BOUNDARY_RING:
+            edges = np.append(np.abs(f.on_circle(r, BOUNDARY_RING)), edges)
+        return sign * float((sign * edges).min())
+
+    return _settle(
+        indices.tolist(), samples, lambda i, theta: _polish(f, r, theta, step, samples // 2, sign),
+        f.rotation_order, sign, r, slack, edge if disk else None,
+    )
+
+
+def _grid_settled(slack, spread):
+    """Whether a grid's slack is within 1/16 of its log-modulus spread plus rounding, or unbounded."""
+    return (slack == math.inf) | (slack <= spread / 16.0 + _ROUNDING)
+
+
+def _candidates(key: np.ndarray, slack, spread, sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and grid indices of the candidates in a ``(T, M)`` grid of ``key = sign * |f|``.
+
+    The winners come first, one per row: the first index of the row's least
+    key, i.e. the smallest theta.  The others follow in row and grid order:
+    the grid-local minima of the key (below the left neighbour, no higher
+    than the right one) among the nodes within a factor ``e^slack`` of the
+    winner's modulus.  A slack beyond the ``spread`` admits every node.
+    """
+    count, samples = key.shape
+    winner = key.argmin(axis=1)
+    limit = key[np.arange(count), winner] * np.exp(sign * np.minimum(slack, spread))
+    rows, near = np.divmod(np.flatnonzero(key <= limit[:, None]), samples)
+    near_key = key[rows, near]
+    local = (near_key < key[rows, near - 1]) & (near_key <= key[rows, (near + 1) % samples])
+    local &= near != winner[rows]
+    return np.concatenate((np.arange(count), rows[local])), np.concatenate((winner, near[local]))
+
+
+def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float, slack: float, edge=None):
+    """The :class:`ExtremumResult` of one circle from its candidates' grid ``indices``, the winner first.
+
+    ``polish(i, theta)`` gives :func:`_polish`'s tuple for candidate ``i``
+    at grid angle ``theta``, or None, which makes the result None.  A
+    candidate within a grid step of a rotated copy (``rotation_order()``)
+    of one already polished is skipped.  The best result wins, the earlier
+    on a tie; one that beats ``edge()``, the least favourable origin or
+    ring modulus, by more than ``INTERIOR_TOL`` raises.
+    """
+    step = TAU / samples
+    order = rotation_order() if len(indices) > 1 else 1
+    best, polished, iterations = None, [], 0
+    for i, index in enumerate(indices):
         theta = TAU * index / samples  # the profile's own grid angle
         if order > 1 and _is_rotated_copy(theta, polished, order, step):
             continue
-        theta, value, bracket, steps = _polish(f, r, theta, step, samples // 2, sign)
+        result = polish(i, theta)
+        if result is None:
+            return None
+        theta, value, bracket, steps = result
         polished.append(theta)
         iterations += steps
         if best is None or sign * (value - best[1]) < 0.0:
             best = (theta, value, bracket)
     theta, value, bracket = best
-    if disk:
-        # A ring that the final grid holds adds nothing: the result beats its nodes.
-        edges = np.array([abs(complex(f.value(0j)))])
-        if samples % BOUNDARY_RING:
-            edges = np.append(np.abs(f.on_circle(r, BOUNDARY_RING)), edges)
-        edge = sign * float((sign * edges).min())
-        if sign * value > sign * edge + INTERIOR_TOL:
-            error = InteriorBelowBoundary if minimize else InteriorAboveBoundary
-            relation = "undercuts located minimum" if minimize else "exceeds located maximum"
-            raise error(f"boundary ring or origin sample {edge:.17g} {relation} {value:.17g}")
+    if edge is not None:
+        bound = edge()
+        if sign * value > sign * bound + INTERIOR_TOL:
+            error = InteriorBelowBoundary if sign > 0.0 else InteriorAboveBoundary
+            relation = "undercuts located minimum" if sign > 0.0 else "exceeds located maximum"
+            raise error(f"boundary ring or origin sample {bound:.17g} {relation} {value:.17g}")
     return ExtremumResult(
         theta=theta,
         z0=complex(r * np.exp(1j * theta)),
@@ -329,11 +365,10 @@ def _polish_rows(sample, theta: np.ndarray, step: float, sign: float):
     """:func:`_polish` of one candidate per row, as one vector loop.
 
     ``sample(t)`` gives ``(f, sign * Im(z f'/f))`` at ``z = r e^{i t}``,
-    one angle per row.  Returns ``(theta, |f|, bracket width, iterations,
-    fine)``; a row whose bracket holds no sign change, which the scalar
-    polish would walk, is not ``fine``.  The loop runs on every row until
-    the last one settles, and a row's bracket and step count change only
-    while it is active.
+    one angle per row.  Returns :func:`_polish`'s tuple per row, or None
+    for a row whose bracket holds no sign change, which :func:`_polish`
+    would walk.  The loop runs on every row until the last one settles,
+    and a row's bracket and step count change only while it is active.
     """
     value = np.abs(sample(theta)[0])
     lo, hi = theta - step, theta + step
@@ -367,26 +402,18 @@ def _polish_rows(sample, theta: np.ndarray, step: float, sign: float):
     t_mid = (0.5 * (lo + hi)) % TAU
     v_mid = np.abs(sample(t_mid)[0])
     accept = fine & (sign * (v_mid - value) <= _ACCEPT_ULPS * np.spacing(value))
-    return (
-        np.where(accept, t_mid, theta),
-        np.where(accept, v_mid, value),
-        np.where(accept, hi - lo, 2.0 * step),
-        iterations,
-        fine,
-    )
+    picked = [np.where(accept, a, b).tolist() for a, b in ((t_mid, theta), (v_mid, value), (hi - lo, 2.0 * step))]
+    return [row if ok else None for row, ok in zip(zip(*picked, iterations.tolist()), fine.tolist())]
 
 
 def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize: bool) -> list:
     """:func:`find_min_on_disk` of ``f = a0 exp(h)``, or :func:`find_max_on_disk` of ``1/f``, for each row.
 
     ``a0`` and ``r`` are ``(T,)`` arrays and ``h`` is ``(T, W)``, the
-    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``.
-    Each row follows the scalar search's rules on the requested grid.  A
+    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``.  A
     row that the scalar search would refine to a finer grid, walk, or
     raise for is None, and so is every row when ``grid`` is not a multiple
     of ``BOUNDARY_RING``; the caller runs the scalar search for those.
-    The arithmetic is elementwise along the rows, so a row's result does
-    not depend on the other rows of its batch.
     """
     count = len(a0)
     if grid < BOUNDARY_RING or grid % BOUNDARY_RING:
@@ -411,22 +438,13 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
             (r > 0.0)
             & (r < 1.0)
             & np.isfinite(moduli).all(axis=1)
-            & (slack <= spread / 16.0 + _ROUNDING)
+            & _grid_settled(slack, spread)
             # |f| stays above low e^-slack on the whole circle, so no polish
             # step meets the zero threshold of the scalar search.
             & (low * np.exp(-slack) > ZERO_THRESHOLD)
         )
-
-        # Candidates: each row's grid winner, then every other grid-local
-        # extremum within e^slack of it, in grid order.
-        key = sign * moduli
-        winner = key.argmin(axis=1)
-        limit = key[np.arange(count), winner] * np.exp(sign * np.minimum(slack, spread))
-        near = (key < np.roll(key, 1, axis=1)) & (key <= np.roll(key, -1, axis=1)) & (key <= limit[:, None])
-        near[np.arange(count), winner] = False
-        extra_rows, extra_index = np.nonzero(near & ok[:, None])
-        rows = np.concatenate((np.flatnonzero(ok), extra_rows))
-        start = TAU * np.concatenate((winner[ok], extra_index)) / grid
+        rows, index = _candidates(sign * moduli, slack, spread, sign)
+        rows, index = rows[ok[rows]], index[ok[rows]]
 
         # Horner coefficients of h and h' for the candidates' rows, highest power first.
         hr = h[rows]
@@ -451,44 +469,25 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
                 d1 = -d1 / (inner * inner)
             return value, sign * (z * d1 / value).imag
 
-        # Every candidate is polished in one loop; the scalar rules then
-        # pick from the results row by row, so a rotated copy that the
-        # scalar search skips costs no verdict.
-        results = _polish_rows(sample, start, step, sign)
-        z0 = (radius * np.exp(1j * results[0])).tolist()
-        theta, value, bracket, iterations, fine = (x.tolist() for x in results)
+        # Every candidate is polished in one loop, then the shared rules settle
+        # each row; a rotated copy that they skip leaves its result unread.
+        polished = _polish_rows(sample, TAU * index / grid, step, sign)
         origin = np.abs(a0 if minimize else 1.0 / a0).tolist()  # |f(0)| = |a0 exp(0)|
-    start = start.tolist()
-    candidates: dict[int, list[int]] = {}
+    positions: dict[int, list[int]] = {}
     for position, row in enumerate(rows.tolist()):
-        candidates.setdefault(row, []).append(position)
+        positions.setdefault(row, []).append(position)
+    index = index.tolist()
 
     out: list = [None] * count
-    for row, positions in candidates.items():
-        best, polished, steps = positions[0], [], 0
-        for p in positions:
-            if polished:
-                order = math.gcd(*np.flatnonzero(h[row]).tolist()) or 1  # rotation_order
-                if order > 1 and _is_rotated_copy(start[p], polished, order, step):
-                    continue
-            if not fine[p]:
-                break
-            polished.append(theta[p])
-            steps += iterations[p]
-            if sign * (value[p] - value[best]) < 0.0:
-                best = p
-        else:
-            # The grid is a multiple of the ring, so only the origin is checked.
-            if not sign * value[best] > sign * origin[row] + INTERIOR_TOL:
-                out[row] = ExtremumResult(
-                    theta=theta[best],
-                    z0=z0[best],
-                    value=value[best],
-                    grid_size=grid,
-                    refine_iterations=steps,
-                    bracket_width=bracket[best],
-                    certified_gap=float(slack[row]),
-                )
+    for row, ps in positions.items():
+        try:  # the grid is a multiple of the ring, so the origin is the only edge
+            out[row] = _settle(
+                [index[p] for p in ps], grid, lambda i, t, ps=ps: polished[ps[i]],
+                lambda row=row: _rotation_order(h[row]), sign, r[row], float(slack[row]),
+                lambda row=row: origin[row],
+            )
+        except (InteriorBelowBoundary, InteriorAboveBoundary):
+            pass  # the scalar search raises it at the row's own trial
     return out
 
 

@@ -77,9 +77,9 @@ def _tail_moment(s: PowerSeries, r: float, p: int, j: int = 0) -> float:
     return float(terms[k != j].sum()) + j**p * abs(s.a0)
 
 
-def _rotation_order(s: PowerSeries) -> int:
-    """gcd of the indices of the nonzero tail coefficients of ``s`` (1 for a constant)."""
-    return math.gcd(*(np.flatnonzero(s.coeffs) + s.n).tolist()) or 1
+def _rotation_order(coeffs: np.ndarray, first: int = 0) -> int:
+    """gcd of the indices of the nonzero ``coeffs``, counted from ``first`` (1 for a constant)."""
+    return math.gcd(*(np.flatnonzero(coeffs) + first).tolist()) or 1
 
 
 def _require_in_disk(z) -> None:
@@ -173,7 +173,7 @@ class SeriesFunction(AnalyticFunction):
         return self.series.is_constant()
 
     def rotation_order(self) -> int:
-        return _rotation_order(self.series)
+        return _rotation_order(self.series.coeffs, self.series.n)
 
     def _floor(self, r: float, moduli: np.ndarray) -> float | None:
         """A floor of ``|f|`` on ``|z| = r`` from its ``moduli`` at ``M`` equispaced points.
@@ -439,7 +439,7 @@ class ExpSeriesFunction(AnalyticFunction):
         return 0  # exp never vanishes
 
     def rotation_order(self) -> int:
-        return _rotation_order(self.h)
+        return _rotation_order(self.h.coeffs, self.h.n)
 
     def log_modulus_curvature(self, r: float, moduli: np.ndarray) -> float:
         """``sum k^2 |h_k| r^k``, since ``log|f| = log|a0| + Re h``."""

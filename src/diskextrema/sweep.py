@@ -14,14 +14,14 @@ the sweep output is byte-identical across runs.
 The disk searches run in batches of up to 1024 trials on the default
 grid: the minima of all f as one batched search and the maxima of all
 ``1/f`` as another, independent of the first, so the duality gap stays a
-check.  A trial that the batch leaves open (a grid that is not a
-multiple of 256 points, a grid that must double, a bracket without a
-sign change, or anything that would raise) takes the scalar
-``find_min_on_disk`` / ``find_max_on_disk``.  The chain checks stay
-scalar and run in trial order, so an error surfaces at its own trial.
-A row's result does not depend on its batch, and ``run_trial(seed, k)``
-runs the same code on one index, so it replays trial ``k`` of a sweep
-exactly.
+check.  A batch shares the rules of ``find_min_on_disk`` and
+``find_max_on_disk``, with its own sampler and polish kernel.  A trial
+that it leaves open (a grid that is not a multiple of 256 points, a grid
+that must double, a bracket without a sign change, or anything that
+would raise) takes those scalar searches.  The chain checks stay scalar
+and run in trial order, so an error surfaces at its own trial.  A row's
+result does not depend on its batch, and ``run_trial(seed, k)`` runs the
+same code on one index, so it replays trial ``k`` of a sweep exactly.
 """
 
 from __future__ import annotations

@@ -158,6 +158,14 @@ class TestFindMinOnCircle:
         with pytest.raises(DomainError):
             find_min_on_circle(constant(1.0), 0.0)
 
+    def test_zero_between_grid_points_raises_from_the_polish(self):
+        # z - 0.5 e^i vanishes at theta = 1, between nodes of the 64-point
+        # grid, which all clear the zero threshold; the polish steps onto
+        # the zero and names its angle
+        f = SeriesFunction(PowerSeries(-0.5 * np.exp(1j), 1, [1.0]))
+        with pytest.raises(ZeroOnCircle, match=r"^\|f\| = \S+ at theta = 1\.0000"):
+            find_min_on_circle(f, 0.5, grid=64)
+
 
 class TestFindMaxOnCircle:
     def test_reciprocal_of_example_family(self):
@@ -178,6 +186,16 @@ class TestFindMaxOnCircle:
             r = rng.uniform(0.2, 0.9)
             best_grid = max(v for _, v in modulus_profile(f, r, 4096))
             assert find_max_on_circle(f, r).value >= best_grid
+
+    def test_zero_in_the_polish_keeps_the_grid_point(self):
+        # |1e-14 z| = 5e-15 on |z| = 0.5 is below the zero threshold, so the
+        # polish's first jet meets a zero; a max search keeps its grid point
+        res = find_max_on_circle(SeriesFunction(PowerSeries(0.0, 1, [1e-14])), 0.5, grid=64)
+        step = 2 * np.pi / 64
+        assert res.refine_iterations == 0
+        assert res.bracket_width == 2 * step
+        assert res.theta / step == pytest.approx(round(res.theta / step), abs=1e-12)
+        assert res.value == pytest.approx(5e-15, rel=1e-12)
 
 
 class TestFindMinOnDisk:
