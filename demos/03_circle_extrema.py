@@ -23,9 +23,12 @@
 #
 # The grid itself is one call of f.on_circle.  For a series-backed f,
 # the samples r e^{2 pi i k/M} turn the tail sum a_k r^k z^k into a
-# discrete Fourier sum, so one inverse FFT of the coefficients scaled by
-# r^k gives all M values; coefficients past index M fold into bin
-# k mod M, exactly, since e^{2 pi i jk/M} repeats with period M in k.
+# discrete Fourier sum in which only the N + 1 lowest of M bins can be
+# nonzero.  So M/L twiddled inverse FFTs of length L (M halved while it
+# is even and the half still holds every coefficient) of the
+# coefficients scaled by r^k give all M values; coefficients past index
+# M fold into bin k mod M, exactly, since e^{2 pi i jk/M} repeats with
+# period M in k.
 # The closed-form family below uses the default, which evaluates
 # f.value at the grid points.  The refinement evaluates single points:
 # each step reads f and f' from one f.jet call, which a series runs in

@@ -44,9 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .series import PowerSeries
-
-TAU = 2.0 * np.pi
+from .series import TAU, PowerSeries
 
 #: Relative rounding allowed in a tail sum or an FFT sample of a series
 #: (and so in a grid's log-modulus, for the extremum search).

@@ -18,19 +18,31 @@ Evaluation has one path per shape of call:
   numpy; it is the evaluator for arbitrary point sets.  numpy's
   vectorized complex multiply may fuse multiply-adds, so its results can
   differ from the single-point path in the last bits;
-* a whole circle (:meth:`PowerSeries.on_circle`) is one FFT: on
-  ``|z| = r`` sampled at ``theta_j = 2 pi j / M`` the tail is the
-  discrete Fourier sum ``sum_k (a_k r^k) e^{2 pi i j k / M}``, so the
-  scaled coefficients are folded into ``M`` bins (index ``k`` into bin
-  ``k mod M``, which is exact since ``e^{2 pi i j k / M}`` has period
-  ``M`` in ``k``) and one inverse FFT, times ``M``, gives all ``M``
-  values.  The radius is validated once per call, not per point.
+* a whole circle (:meth:`PowerSeries.on_circle`) is one pruned inverse
+  FFT.  On ``|z| = r`` sampled at ``theta_j = 2 pi j / M`` the tail is
+  the discrete Fourier sum ``sum_k (a_k r^k) w_M^{jk}``, with
+  ``w_M = e^{2 pi i / M}``.  Only the ``N + 1`` lowest of its ``M`` bins
+  can be nonzero, so the transform length ``L`` starts at ``M`` and is
+  halved while it stays even and ``L / 2 >= N + 1``.  Writing
+  ``j = p + s q`` with ``s = M / L``, ``0 <= p < s`` and ``0 <= q < L``
+  gives ``w_M^{jk} = w_M^{pk} w_L^{qk}``: the scaled coefficients are
+  multiplied by a twiddle table ``w_M^{pk}`` (computed once per
+  ``(M, L)``), ``s`` unnormalized inverse FFTs of length ``L`` give the
+  values at ``q = 0..L-1`` for each ``p``, and the transpose puts them in
+  the order ``j``.  An order at or above ``M`` keeps ``L = M`` and
+  ``s = 1``, and index ``k`` is folded into bin ``k mod M`` first, which
+  is exact since ``w_M^{jk}`` has period ``M`` in ``k``.  ``a0`` is
+  added last, and the radius is validated once per call, not per point.
+  (FFT pruning for zero-padded input: Markel, IEEE Trans. Audio
+  Electroacoust. 19, 1971; Sorensen & Burrus, IEEE Trans. Signal
+  Process. 41, 1993.)
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +52,17 @@ from .errors import DomainError, SeriesFormatError
 DEFAULT_ORDER = 32
 #: Coefficient magnitude at or below which a series counts as its constant term.
 CONSTANT_TOL = 1e-15
+#: One full turn, in radians.
+TAU = 2.0 * np.pi
+
+
+@lru_cache(maxsize=8)
+def _twiddles(samples: int, length: int) -> np.ndarray:
+    """Table ``e^{i TAU p k / samples}``, ``p < samples // length``, ``k < length``."""
+    p = np.arange(samples // length)[:, None]
+    table = np.exp(1j * (TAU * ((p * np.arange(length)) % samples) / samples))
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +134,32 @@ class PowerSeries:
     def on_circle(self, r: float, samples: int) -> np.ndarray:
         """Values at ``r * e^{2 pi i k / samples}``, ``k = 0..samples-1``.
 
-        Scales the tail by ``r^k``, folds index ``k`` into bin
-        ``k mod samples`` (exact for any order, aliasing included) and
-        takes one inverse FFT; ``a0`` is added last.
+        Scales the tail by ``r^k`` and takes ``samples / L`` twiddled
+        inverse FFTs of length ``L``: ``samples`` halved while it is even
+        and the half still holds every coefficient.  An order at or above
+        ``samples`` folds index ``k`` into bin ``k mod samples`` (exact,
+        aliasing included).  ``a0`` is added last.
         """
         if not 0.0 <= r < 1.0:
             raise DomainError(f"circle radius must satisfy 0 <= r < 1, got {r}")
+        if int(samples) != samples or samples < 1:
+            raise DomainError(f"samples must be a positive integer, got {samples!r}")
         size = self.order + 1
-        folds = -(-size // samples)
-        bins = np.zeros(folds * samples, dtype=np.complex128)
+        length = samples = int(samples)
+        while length % 2 == 0 and length // 2 >= size:
+            length //= 2
+        folds = -(-size // length)
+        bins = np.zeros(folds * length, dtype=np.complex128)
         bins[self.n : size] = self.coeffs * r ** np.arange(self.n, size)
-        return self.a0 + np.fft.ifft(bins.reshape(folds, samples).sum(axis=0)) * samples
+        # one expression, and a0 added in place, so that no more than two
+        # samples-sized arrays are alive at once
+        values = np.fft.ifft(
+            bins.reshape(folds, length).sum(axis=0) * _twiddles(samples, length),
+            axis=1,
+            norm="forward",
+        ).T.ravel()
+        values += self.a0
+        return values
 
     def differentiate(self) -> "PowerSeries":
         """Termwise derivative; the truncation order drops by one."""

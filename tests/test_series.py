@@ -141,16 +141,41 @@ class TestScalarPath:
 class TestOnCircles:
     @pytest.mark.parametrize(
         "n, order, samples",
-        [(1, 8, 16), (1, 16, 16), (1, 40, 16), (3, 12, 32), (4, 100, 8), (2, 512, 256)],
+        [
+            (1, 8, 16),
+            (1, 16, 16),
+            (1, 40, 16),
+            (3, 12, 32),
+            (4, 100, 8),
+            (2, 512, 256),
+            (1, 300, 32768),
+            (2, 512, 32768),
+            (3, 40, 4096),
+            (2, 17, 100),
+        ],
     )
     def test_matches_value_at_the_same_points(self, rng, n, order, samples):
-        # orders at or above `samples` exercise the fold of index k into bin k mod samples
+        # orders at or above `samples` exercise the fold of index k into bin k mod samples;
+        # (1, 8, 16) takes one transform of length 16, (2, 512, 32768) 32 of length 1024
+        # and (2, 17, 100) 4 of the odd length 25
         s = random_series(rng, n=n, degree=order)
         for r in (0.0, 0.3, 0.75, 0.95):
             got = s.on_circle(r, samples)
             assert got.shape == (samples,)
             tol = 64 * EPS * magnitude_sum(s, r)
             assert np.all(np.abs(got - s(circle_points(r, samples))) <= tol)
+
+    def test_returned_values_do_not_leak_into_the_next_call(self, rng):
+        s = random_series(rng, n=1, degree=40)
+        first = s.on_circle(0.75, 4096)
+        expected = first.copy()
+        first[:] = 0.0
+        assert np.array_equal(s.on_circle(0.75, 4096), expected)
+
+    @pytest.mark.parametrize("samples", [0, -4])
+    def test_rejects_nonpositive_samples(self, samples):
+        with pytest.raises(DomainError, match="samples must be a positive integer"):
+            PowerSeries(1.0, 1, [1.0]).on_circle(0.5, samples)
 
     def test_origin_circle_is_a0_exactly(self, rng):
         s = random_series(rng, n=2, degree=20)
