@@ -1,10 +1,15 @@
-# Locating modulus extrema on circles and disks
-# =============================================
+# Locating modulus extrema on closed disks
+# ========================================
 #
-# The search is a certified angular grid followed by a polish of the
-# sign change of d/dtheta log|f| = -Im(z f'/f) over the two grid steps
-# around each candidate, which pins the extremal angle far below the
-# sqrt(eps) noise floor that value-only comparisons hit.  The function
+# The extrema of |f| over |z| <= r sit on the boundary circle, the
+# minimum once f.count_zeros, asked about the samples of the search's
+# grid, finds no zeros inside (none by construction for this family).
+# The search there is a certified angular grid followed by a polish of
+# the sign change of d/dtheta log|f| = -Im(z f'/f) over the two grid
+# steps around each candidate, which pins the extremal angle far below
+# the sqrt(eps) noise floor that value-only comparisons hit.  Its result
+# is checked against the origin and a 256-point boundary ring, which the
+# default grid already holds.  The function
 # bounds the curvature K of log|f| on the circle, so between grid nodes
 # delta apart log|f| can dip at most slack = K delta^2/8 below the lower
 # node.  The grid starts at 256 points and doubles while that slack is
@@ -41,8 +46,7 @@ import numpy as np
 from diskextrema import (
     ExampleFamily,
     Reciprocal,
-    find_max_on_circle,
-    find_min_on_circle,
+    find_max_on_disk,
     find_min_on_disk,
     modulus_profile,
     write_profile_csv,
@@ -51,8 +55,8 @@ from diskextrema import (
 family = ExampleFamily(0.8, 2)
 r = 0.5
 
-result = find_min_on_circle(family, r)
-print(f"min |f| on |z| = {r}: {result.value:.15f} at theta = {result.theta:.15f}")
+result = find_min_on_disk(family, r)
+print(f"min |f| on |z| <= {r}: {result.value:.15f} at theta = {result.theta:.15f}")
 print(f"  grid {result.grid_size}, {result.refine_iterations} refinement steps, "
       f"final bracket {result.bracket_width:.2e}, certified gap {result.certified_gap:.2e}")
 print(f"  closed form says 0.6 at theta = pi/2 = {np.pi / 2:.15f}")
@@ -63,16 +67,9 @@ fz0, d1, _ = family.jet(result.z0)
 ratio = result.z0 * d1 / fz0
 print(f"  Im(z0 f'/f) at the minimizer: {ratio.imag:.2e}")
 
-# The disk search reduces to the boundary circle once f.count_zeros, asked
-# about the samples of the search's grid, finds no zeros inside (none by
-# construction for this family), and cross-checks against the origin and
-# a 256-point boundary ring, which the default grid already holds.
-disk = find_min_on_disk(family, r)
-print(f"\ndisk minimum equals circle minimum: {disk.value == result.value}")
-
 # Reciprocal duality: the maximum of |1/f| sits at the same angle and its
 # value is exactly the reciprocal.
-recip = find_max_on_circle(Reciprocal(family), r)
+recip = find_max_on_disk(Reciprocal(family), r)
 print(f"\nmax |1/f| = {recip.value:.15f}; product with min |f|: "
       f"{recip.value * result.value:.15f}")
 

@@ -25,9 +25,7 @@ from .errors import (
 from .extremum import (
     DEFAULT_GRID,
     ExtremumResult,
-    find_max_on_circle,
     find_max_on_disk,
-    find_min_on_circle,
     find_min_on_disk,
     modulus_profile,
     write_profile_csv,

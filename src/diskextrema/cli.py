@@ -297,6 +297,10 @@ def _resolve_a0(args: argparse.Namespace) -> complex | None:
 
 def _validate(args: argparse.Namespace) -> None:
     """Resolve ``a0`` to a complex number, then check the range of every flag."""
+    for flag in ("a0_mod", "a0_arg"):
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     if "a0" in args:
         args.a0 = _resolve_a0(args)
     r, tol, n = (getattr(args, name, None) for name in ("r", "tol", "n"))

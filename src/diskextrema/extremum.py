@@ -1,4 +1,4 @@
-"""Locate extrema of |f| on circles ``|z| = r`` and closed disks ``|z| <= r``.
+"""Locate extrema of |f| on closed disks ``|z| <= r``, by searching their boundary circle.
 
 The search is a certified uniform angular grid followed by one
 refinement stage per candidate basin.
@@ -117,7 +117,7 @@ _ACCEPT_ULPS = 4
 
 @dataclass(frozen=True)
 class ExtremumResult:
-    """A located modulus extremum on the circle ``|z| = r``.
+    """A located modulus extremum of the disk ``|z| <= r``, on its boundary circle.
 
     ``grid_size`` is the grid actually sampled, ``refine_iterations`` the
     polish steps summed over the basins refined, and ``certified_gap`` the
@@ -227,14 +227,14 @@ def _polish(f: AnalyticFunction, r: float, theta: float, step: float, walk: int,
     return theta, value, bracket, iterations
 
 
-def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool, disk: bool) -> ExtremumResult:
-    """The certified search; ``disk`` adds a minimum's zero count and the origin and ring check."""
+def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> ExtremumResult:
+    """The certified search of the boundary circle, with a minimum's zero count and the edge check."""
     _require_grid(r, grid)
     sign = 1.0 if minimize else -1.0
     # A maximum search takes the bound on (|f|^2)'' when f has one, which
     # needs no floor of |f|; otherwise the bound on (log|f|)''.
     square = math.inf if minimize else f.square_modulus_curvature(r)
-    zeros = None if disk and minimize else 0
+    zeros = None if minimize else 0
     samples = grid
     while True:
         values = f.on_circle(r, samples)
@@ -279,7 +279,7 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool, dis
 
     return _settle(
         indices.tolist(), samples, lambda i, theta: _polish(f, r, theta, step, samples // 2, sign),
-        f.rotation_order, sign, r, slack, edge if disk else None,
+        f.rotation_order, sign, r, slack, edge,
     )
 
 
@@ -307,7 +307,7 @@ def _candidates(key: np.ndarray, slack, spread, sign: float) -> tuple[np.ndarray
     return np.concatenate((np.arange(count), rows[local])), np.concatenate((winner, near[local]))
 
 
-def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float, slack: float, edge=None):
+def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float, slack: float, edge):
     """The :class:`ExtremumResult` of one circle from its candidates' grid ``indices``, the winner first.
 
     ``polish(i, theta)`` gives :func:`_polish`'s tuple for candidate ``i``
@@ -333,12 +333,11 @@ def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float
         if best is None or sign * (value - best[1]) < 0.0:
             best = (theta, value, bracket)
     theta, value, bracket = best
-    if edge is not None:
-        bound = edge()
-        if sign * value > sign * bound + INTERIOR_TOL:
-            error = InteriorBelowBoundary if sign > 0.0 else InteriorAboveBoundary
-            relation = "undercuts located minimum" if sign > 0.0 else "exceeds located maximum"
-            raise error(f"boundary ring or origin sample {bound:.17g} {relation} {value:.17g}")
+    bound = edge()
+    if sign * value > sign * bound + INTERIOR_TOL:
+        error = InteriorBelowBoundary if sign > 0.0 else InteriorAboveBoundary
+        relation = "undercuts located minimum" if sign > 0.0 else "exceeds located maximum"
+        raise error(f"boundary ring or origin sample {bound:.17g} {relation} {value:.17g}")
     return ExtremumResult(
         theta=theta,
         z0=complex(r * np.exp(1j * theta)),
@@ -491,45 +490,32 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
     return out
 
 
-def find_min_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Minimize |f| over ``|z| = r``, starting from a ``grid``-point grid.
-
-    The grid doubles until its curvature slack is small; every basin
-    within that slack of the grid winner is polished, except rotated
-    copies of one already polished.  Of equal results the earlier
-    candidate is kept: the grid winner, then increasing grid angle.  That
-    is a reporting convention, not a uniqueness claim.
-    """
-    return _search_circle(f, r, grid, minimize=True, disk=False)
-
-
-def find_max_on_circle(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Maximize |f| over ``|z| = r``; the grid is certified as in :func:`find_min_on_circle`.
-
-    A function that bounds the curvature of ``|f|^2`` is certified by that
-    bound rather than by the curvature of ``log|f|``.
-    """
-    return _search_circle(f, r, grid, minimize=False, disk=False)
-
-
 def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
-    """Minimize |f| over the closed disk ``|z| <= r``.
+    """Minimize |f| over the closed disk ``|z| <= r``, starting from a ``grid``-point circle grid.
 
     For a zero-free analytic function the minimum sits on the boundary
-    circle, so the search delegates there once ``f.count_zeros`` finds no
-    zero inside from the samples of one of its grids.  The result must not
-    exceed |f| at the origin or on a 256-point boundary ring (sampled only
-    when the final grid does not hold it); a non-analytic f, or one whose
-    curvature bound is wrong, can exceed it.
+    circle, so the search runs there once ``f.count_zeros`` finds no zero
+    inside from the samples of one of its grids.  The grid doubles until
+    its curvature slack is small; every basin within that slack of the
+    grid winner is polished, except rotated copies of one already
+    polished.  Of equal results the earlier candidate is kept: the grid
+    winner, then increasing grid angle.  That is a reporting convention,
+    not a uniqueness claim.  The result must not exceed |f| at the origin
+    or on a 256-point boundary ring (sampled only when the final grid does
+    not hold it); a non-analytic f, or one whose curvature bound is wrong,
+    can exceed it.
     """
-    return _search_circle(f, r, grid, minimize=True, disk=True)
+    return _search_circle(f, r, grid, minimize=True)
 
 
 def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:
     """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary).
 
-    The result must reach |f| at the origin and on a 256-point boundary
-    ring (sampled only when the final grid does not hold it); a non-analytic f,
-    or one whose curvature bound is wrong, can fall short.
+    The grid is certified and refined as in :func:`find_min_on_disk`, with
+    the same tie rule, except that a function that bounds the curvature of
+    ``|f|^2`` is certified by that bound rather than by the curvature of
+    ``log|f|``.  The result must reach |f| at the origin and on a 256-point
+    boundary ring (sampled only when the final grid does not hold it); a
+    non-analytic f, or one whose curvature bound is wrong, can fall short.
     """
-    return _search_circle(f, r, grid, minimize=False, disk=True)
+    return _search_circle(f, r, grid, minimize=False)

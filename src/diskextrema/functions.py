@@ -36,6 +36,7 @@ each set of rotated copies.
 
 from __future__ import annotations
 
+import cmath
 import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
@@ -311,6 +312,8 @@ class ExampleFamily(AnalyticFunction):
 
     def __init__(self, a0: complex, n: int):
         a0 = complex(a0)
+        if not cmath.isfinite(a0):
+            raise DomainError(f"family requires a finite a0, got {a0}")
         if abs(a0) <= 0.5:
             raise DomainError(f"family requires |a0| > 1/2, got |a0| = {abs(a0)}")
         if int(n) != n or n < 1:

@@ -40,6 +40,7 @@ Evaluation has one path per shape of call:
 
 from __future__ import annotations
 
+import cmath
 import io
 from dataclasses import dataclass
 from functools import lru_cache
@@ -239,6 +240,8 @@ def parse_series(text: str) -> PowerSeries:
         if len(rows[0]) != 2:
             raise ValueError("a0 line must hold two numbers")
         a0 = complex(float(rows[0][0]), float(rows[0][1]))
+        if not cmath.isfinite(a0):
+            raise ValueError(f"a0 line {' '.join(rows[0])!r} must hold finite numbers")
         if len(rows[1]) != 2:
             raise ValueError("index line must hold 'n N'")
         n, order = int(rows[1][0]), int(rows[1][1])
@@ -254,7 +257,9 @@ def parse_series(text: str) -> PowerSeries:
         try:
             if len(row) != 3:
                 raise ValueError("coefficient line must hold 'k re im'")
-            k, re, im = int(row[0]), float(row[1]), float(row[2])
+            k, c = int(row[0]), complex(float(row[1]), float(row[2]))
+            if not cmath.isfinite(c):
+                raise ValueError("numbers must be finite")
         except ValueError as exc:
             raise SeriesFormatError(f"bad coefficient line {' '.join(row)!r}: {exc}") from exc
         if not n <= k <= order:
@@ -262,7 +267,7 @@ def parse_series(text: str) -> PowerSeries:
         if k in seen:
             raise SeriesFormatError(f"duplicate coefficient index {k}")
         seen.add(k)
-        coeffs[k - n] = complex(re, im)
+        coeffs[k - n] = c
     return PowerSeries(a0, n, coeffs)
 
 

@@ -100,6 +100,16 @@ class TestExampleCommand:
         code, _, err = run_cli(["example", "--a0", "0.8", "--n", "2", "--r", "1.5"])
         assert code == 2 and "--r" in err
 
+    def test_unparsable_a0_rejected(self):
+        code, _, err = run_cli(["example", "--a0", "1+x", "--n", "2", "--r", "0.5"])
+        assert code == 2
+        assert err == "error: cannot parse complex number from '1+x'\n"
+
+    def test_nonpositive_n_rejected(self):
+        code, _, err = run_cli(["example", "--a0", "0.8", "--n", "0", "--r", "0.5"])
+        assert code == 2
+        assert err == "error: --n must be a positive integer, got 0\n"
+
     def test_complex_a0_forms(self):
         for form in ("0.6+0.4j", "0.6,0.4"):
             code, out, _ = run_cli(["example", "--a0", form, "--n", "1", "--r", "0.3"])
@@ -177,6 +187,22 @@ class TestVerifyCommand:
         code, _, err = run_cli(["verify", "--input", str(path), "--r", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["min", "max"])
+    def test_non_finite_coefficient_rejected(self, mode, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0.8 0.0\n1 2\n1 nan 0.0\n")
+        code, out, err = run_cli(["verify", "--input", str(path), "--r", "0.5", "--mode", mode])
+        assert code == 2 and out == ""
+        assert err == "error: bad coefficient line '1 nan 0.0': numbers must be finite\n"
+
+    def test_other_package_errors_are_exit_2_with_their_type(self, tmp_path):
+        # f = 1e-14 z: the maximum |f(z0)| = 5e-15 leaves z0 f'/f undefined
+        path = tmp_path / "tiny.txt"
+        path.write_text("0 0\n1 1\n1 1e-14 0\n")
+        code, out, err = run_cli(["verify", "--input", str(path), "--r", "0.5", "--mode", "max"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ZeroDenominator: |f(z0)| = 5.000e-15")
+
     def test_check_failure_is_exit_1(self, family_truncation_file):
         code, out, _ = run_cli(
             ["verify", "--input", family_truncation_file, "--r", "0.5", "--tol", "1e-18"]
@@ -218,6 +244,12 @@ class TestSweepCommand:
     def test_rejects_bad_trials(self):
         code, _, err = run_cli(["sweep", "--trials", "0", "--seed", "1"])
         assert code == 2 and "--trials" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_rejects_seeds_outside_64_bits(self, seed):
+        code, _, err = run_cli(["sweep", "--trials", "1", "--seed", seed])
+        assert code == 2
+        assert err == f"error: --seed must be a 64-bit unsigned integer, got {seed}\n"
 
     def test_failing_trial_is_reported_reproducibly(self):
         # an impossible tolerance forces the im_residual link to fail, which
@@ -302,6 +334,22 @@ class TestLandscapeCommand:
             ["landscape", "--input", str(path), "--a0", "0.8", "--n", "2", "--r", "0.5"]
         )
         assert code == 2
+
+    def test_family_flags_need_n(self):
+        code, _, err = run_cli(["landscape", "--a0", "0.8", "--r", "0.5"])
+        assert code == 2
+        assert err == "error: landscape family flags need --n\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--a0", "nan"], ["--a0", "inf"], ["--a0-mod", "inf"], ["--a0-mod", "1", "--a0-arg", "inf"]],
+    )
+    def test_non_finite_a0_writes_no_profile(self, flags, tmp_path):
+        target = tmp_path / "p.csv"
+        code, out, err = run_cli(["landscape", *flags, "--n", "2", "--r", "0.5", "--output", str(target)])
+        assert code == 2 and out == ""
+        assert "finite" in err
+        assert not target.exists()
 
 
 #: Minimal argv of each subcommand, the flags it requires (each followed by

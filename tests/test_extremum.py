@@ -14,9 +14,7 @@ from diskextrema import (
     ZeroInDisk,
     ZeroOnCircle,
     draw_trial,
-    find_max_on_circle,
     find_max_on_disk,
-    find_min_on_circle,
     find_min_on_disk,
     modulus_profile,
 )
@@ -79,8 +77,10 @@ class TestModulusProfile:
 
 
 class TestFindMinOnCircle:
+    """The boundary-circle search inside :func:`find_min_on_disk`."""
+
     def test_example_family(self):
-        res = find_min_on_circle(ExampleFamily(0.8, 2), 0.5)
+        res = find_min_on_disk(ExampleFamily(0.8, 2), 0.5)
         assert res.value == pytest.approx(0.6, abs=1e-9)
         assert abs(np.exp(2j * res.theta) + 1.0) < 1e-8
         assert res.bracket_width <= 1e-12
@@ -90,7 +90,7 @@ class TestFindMinOnCircle:
         # the tangential derivative can locate the minimizer; halving the
         # two grid steps 2 * pi / 2048 down to 1e-13 would take 35
         # bisections, the secant steps take a handful
-        res = find_min_on_circle(ExampleFamily(1.2 * np.exp(2j), 1), 0.5)
+        res = find_min_on_disk(ExampleFamily(1.2 * np.exp(2j), 1), 0.5)
         assert abs(res.theta - np.pi) <= res.bracket_width
         assert res.refine_iterations <= 8
 
@@ -100,7 +100,7 @@ class TestFindMinOnCircle:
         # clamp keeps the second point 5e-14 inside the bracket, which then
         # closes below the target instead of shrinking toward one end.  The
         # minimizer 3 pi/2 is its rotated copy and is not polished again
-        res = find_min_on_circle(ExampleFamily(0.8, 2), 0.5, grid=4096)
+        res = find_min_on_disk(ExampleFamily(0.8, 2), 0.5, grid=4096)
         assert res.refine_iterations == 2
         assert abs(res.theta - np.pi / 2) <= res.bracket_width <= POLISH_TARGET
 
@@ -110,18 +110,18 @@ class TestFindMinOnCircle:
         # minimizer pi/12, and the tangential derivative has no sign change
         # on the two steps around it until the bracket walks one step right
         a0 = 0.5409475328906539 * np.exp(5.987111868764644j)
-        res = find_min_on_circle(ExampleFamily(a0, 12), 0.08286736484609238, grid=4096)
+        res = find_min_on_disk(ExampleFamily(a0, 12), 0.08286736484609238, grid=4096)
         assert abs(res.theta - np.pi / 12) <= res.bracket_width <= 1e-13
         assert res.refine_iterations > 0
 
     def test_constant_lands_on_first_grid_point(self):
-        res = find_min_on_circle(constant(3.0), 0.5)
+        res = find_min_on_disk(constant(3.0), 0.5)
         assert res.value == 3.0
         assert res.theta == 0.0
 
     def test_value_consistent_with_z0(self):
         for f, r in [(ExampleFamily(0.8, 2), 0.5), (ExampleFamily(0.7 + 0.4j, 1), 0.3)]:
-            res = find_min_on_circle(f, r)
+            res = find_min_on_disk(f, r)
             assert abs(res.value - abs(complex(f.value(res.z0)))) <= 1e-14
             assert abs(res.z0) == pytest.approx(r, abs=1e-15)
 
@@ -130,21 +130,21 @@ class TestFindMinOnCircle:
             f = random_exp_function(rng)
             r = rng.uniform(0.2, 0.9)
             best_grid = min(v for _, v in modulus_profile(f, r, 4096))
-            assert find_min_on_circle(f, r).value <= best_grid
+            assert find_min_on_disk(f, r).value <= best_grid
 
     def test_reciprocal_duality(self, rng):
         for _ in range(10):
             f = random_exp_function(rng)
             r = rng.uniform(0.2, 0.9)
-            lo = find_min_on_circle(f, r).value
-            hi = find_max_on_circle(Reciprocal(f), r).value
+            lo = find_min_on_disk(f, r).value
+            hi = find_max_on_disk(Reciprocal(f), r).value
             assert lo * hi == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_on_circle(self):
         # z - 0.5 vanishes exactly at the theta = 0 grid point of |z| = 0.5
         f = SeriesFunction(PowerSeries(-0.5, 1, [1.0]))
         with pytest.raises(ZeroOnCircle):
-            find_min_on_circle(f, 0.5)
+            find_min_on_disk(f, 0.5)
 
     def test_zero_between_grid_points(self):
         # a zero on the circle but off the grid: the coarse screen passes,
@@ -152,32 +152,39 @@ class TestFindMinOnCircle:
         c = 0.5 * np.exp(1j * (np.pi / 4096))
         f = SeriesFunction(PowerSeries(-c, 1, [1.0]))
         with pytest.raises(ZeroOnCircle):
-            find_min_on_circle(f, 0.5)
+            find_min_on_disk(f, 0.5)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(DomainError):
-            find_min_on_circle(constant(1.0), 0.0)
+            find_min_on_disk(constant(1.0), 0.0)
 
     def test_zero_between_grid_points_raises_from_the_polish(self):
         # z - 0.5 e^i vanishes at theta = 1, between nodes of the 64-point
-        # grid, which all clear the zero threshold; the polish steps onto
+        # grid, which all clear the zero threshold; a zero count that
+        # reports none lets the search reach the polish, which steps onto
         # the zero and names its angle
-        f = SeriesFunction(PowerSeries(-0.5 * np.exp(1j), 1, [1.0]))
+        class CountsNoZeros(SeriesFunction):
+            def count_zeros(self, r: float, values) -> int:
+                return 0
+
+        f = CountsNoZeros(PowerSeries(-0.5 * np.exp(1j), 1, [1.0]))
         with pytest.raises(ZeroOnCircle, match=r"^\|f\| = \S+ at theta = 1\.0000"):
-            find_min_on_circle(f, 0.5, grid=64)
+            find_min_on_disk(f, 0.5, grid=64)
 
 
 class TestFindMaxOnCircle:
+    """The boundary-circle search inside :func:`find_max_on_disk`."""
+
     def test_reciprocal_of_example_family(self):
-        res = find_max_on_circle(Reciprocal(ExampleFamily(0.8, 2)), 0.5)
+        res = find_max_on_disk(Reciprocal(ExampleFamily(0.8, 2)), 0.5)
         assert res.value == pytest.approx(1.0 / 0.6, abs=1e-9)
 
     def test_identity_map_is_flat(self):
-        res = find_max_on_circle(SeriesFunction(PowerSeries(0.0, 1, [1.0])), 0.25)
+        res = find_max_on_disk(SeriesFunction(PowerSeries(0.0, 1, [1.0])), 0.25)
         assert res.value == pytest.approx(0.25, abs=1e-15)
 
     def test_constant(self):
-        res = find_max_on_circle(constant(-2.0j), 0.5)
+        res = find_max_on_disk(constant(-2.0j), 0.5)
         assert res.value == 2.0
 
     def test_refinement_improves_grid(self, rng):
@@ -185,12 +192,12 @@ class TestFindMaxOnCircle:
             f = random_exp_function(rng)
             r = rng.uniform(0.2, 0.9)
             best_grid = max(v for _, v in modulus_profile(f, r, 4096))
-            assert find_max_on_circle(f, r).value >= best_grid
+            assert find_max_on_disk(f, r).value >= best_grid
 
     def test_zero_in_the_polish_keeps_the_grid_point(self):
         # |1e-14 z| = 5e-15 on |z| = 0.5 is below the zero threshold, so the
         # polish's first jet meets a zero; a max search keeps its grid point
-        res = find_max_on_circle(SeriesFunction(PowerSeries(0.0, 1, [1e-14])), 0.5, grid=64)
+        res = find_max_on_disk(SeriesFunction(PowerSeries(0.0, 1, [1e-14])), 0.5, grid=64)
         step = 2 * np.pi / 64
         assert res.refine_iterations == 0
         assert res.bracket_width == 2 * step
@@ -342,7 +349,7 @@ class TestCertificate:
         for index in range(100):
             trial = draw_trial(11, index)
             f = ExpSeriesFunction(trial.a0, trial.exponent)
-            searches = ((f, find_min_on_circle, 1.0), (Reciprocal(f), find_max_on_circle, -1.0))
+            searches = ((f, find_min_on_disk, 1.0), (Reciprocal(f), find_max_on_disk, -1.0))
             for g, search, sign in searches:
                 res = search(g, trial.r)
                 oracle = oracle_extremum(g, trial.r, sign)
@@ -354,7 +361,7 @@ class TestCertificate:
         # minimum 0.2 * 0.4 sits near the zeros 1.1 and 1.3: the sampled
         # floor of |f| bounds the curvature, and the grid doubles
         f = SeriesFunction(PowerSeries(1.43, 1, [-2.4, 1.0]))
-        res = find_min_on_circle(f, 0.9, grid=64)
+        res = find_min_on_disk(f, 0.9, grid=64)
         assert res.grid_size > 64 and np.isfinite(res.certified_gap)
         assert res.value == pytest.approx(0.2 * 0.4, abs=1e-12)
 
@@ -365,7 +372,7 @@ class TestCertificate:
         # every grid-local maximum is polished
         c = 0.5 + 1e-9
         inner = SeriesFunction(PowerSeries(-0.4 * c, 1, [0.4 - c, 1.0]))
-        res = find_max_on_circle(Reciprocal(inner), 0.5, grid=64)
+        res = find_max_on_disk(Reciprocal(inner), 0.5, grid=64)
         assert res.grid_size == 64 and res.certified_gap == np.inf
         assert res.value == pytest.approx(1.0 / (1e-9 * 0.9), rel=1e-6)
 
@@ -387,11 +394,11 @@ class TestRotatedCopies:
                 return 1
 
         monkeypatch.setattr(extremum, "_polish", counting)
-        res = find_min_on_circle(ExampleFamily(0.8, 3), 0.5)
+        res = find_min_on_disk(ExampleFamily(0.8, 3), 0.5)
         assert len(polished) == 1
         assert res.value == pytest.approx(0.8 - 0.125 / 1.125, abs=1e-12)
         polished.clear()
-        assert find_min_on_circle(Plain(0.8, 3), 0.5).value == pytest.approx(res.value, abs=1e-15)
+        assert find_min_on_disk(Plain(0.8, 3), 0.5).value == pytest.approx(res.value, abs=1e-15)
         assert len(polished) == 3
 
 
@@ -549,5 +556,5 @@ class TestFindMaxOnDisk:
         # a zero on the search circle itself is harmless for a max search
         c = 0.5 * np.exp(1j * (np.pi / 4096))
         f = SeriesFunction(PowerSeries(-c, 1, [1.0]))
-        res = find_max_on_circle(f, 0.5)
+        res = find_max_on_disk(f, 0.5)
         assert res.value == pytest.approx(1.0, abs=1e-9)

@@ -9,7 +9,7 @@ from diskextrema import (
     PowerSeries,
     Reciprocal,
     SeriesFunction,
-    find_min_on_circle,
+    find_min_on_disk,
 )
 from conftest import Rotated, central_diff1, central_diff2, random_series, tame_series
 
@@ -51,6 +51,11 @@ class TestExampleFamilyValues:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             ExampleFamily(0.8, 0)
+
+    def test_rejects_non_finite_a0(self):
+        for bad in (complex("nan"), complex("inf"), complex(0.8, float("-inf")), complex("nanj")):
+            with pytest.raises(DomainError, match="^family requires a finite a0"):
+                ExampleFamily(bad, 2)
 
     def test_rejects_outside_disk(self):
         fam = ExampleFamily(0.8, 2)
@@ -133,7 +138,7 @@ class TestMinPoint:
 
     def test_agrees_with_numeric_search(self):
         fam = ExampleFamily(0.9 * np.exp(1j * np.pi / 3), 3)
-        res = find_min_on_circle(fam, 0.7)
+        res = find_min_on_disk(fam, 0.7)
         assert res.value == pytest.approx(fam.min_point(0.7).min_modulus, abs=1e-9)
         # any angle with z^n = -r^n is a legitimate minimizer
         assert abs(np.exp(1j * fam.n * res.theta) + 1.0) < 1e-8

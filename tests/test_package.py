@@ -10,10 +10,9 @@ PUBLIC_NAMES = [
     "InteriorBelowBoundary", "LemmaReport", "LinkCheck", "MinPoint", "PowerSeries", "Reciprocal",
     "SeriesFormatError", "SeriesFunction", "SweepSummary", "TrialFunction", "TrialOutcome",
     "ZeroDenominator", "ZeroInDisk", "ZeroOnCircle", "check_max_lemma", "check_min_theorem",
-    "draw_trial", "exp_series", "find_max_on_circle", "find_max_on_disk", "find_min_on_circle",
-    "find_min_on_disk", "format_report", "format_series", "invert_series", "mocanu_bounds",
-    "modulus_profile", "parse_series", "read_series", "run_sweep", "run_trial",
-    "write_profile_csv", "write_series",
+    "draw_trial", "exp_series", "find_max_on_disk", "find_min_on_disk", "format_report",
+    "format_series", "invert_series", "mocanu_bounds", "modulus_profile", "parse_series",
+    "read_series", "run_sweep", "run_trial", "write_profile_csv", "write_series",
 ]
 
 

@@ -345,6 +345,7 @@ class TestFileFormat:
             "",  # empty
             "0.8 0.0\n",  # missing index line
             "0.8\n2 4\n",  # one-token a0
+            "0.8 0.0\n2\n",  # one-token index line
             "0.8 0.0\n0 4\n",  # n < 1
             "0.8 0.0\n2 0\n",  # N < n - 1
             "0.8 0.0\n2 4\n1 1 0\n",  # index below n
@@ -352,11 +353,19 @@ class TestFileFormat:
             "0.8 0.0\n2 4\n2 1 0\n2 2 0\n",  # duplicate index
             "0.8 0.0\n2 4\n2 1\n",  # short coefficient line
             "x y\n2 4\n",  # non-numeric
+            "nan 0.0\n2 4\n",  # non-finite a0
+            "0.8 0.0\n2 4\n3 1 -inf\n",  # non-finite coefficient
         ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(SeriesFormatError):
             parse_series(text)
+
+    def test_non_finite_numbers_name_their_line(self):
+        with pytest.raises(SeriesFormatError, match=r"^bad series header: a0 line '0.8 inf' must hold finite"):
+            parse_series("0.8 inf\n1 2\n")
+        with pytest.raises(SeriesFormatError, match=r"^bad coefficient line '1 nan 0.0': numbers must be finite"):
+            parse_series("0.8 0.0\n1 2\n1 nan 0.0\n")
 
     def test_constant_file(self):
         s = parse_series("2.0 0.0\n1 0\n")

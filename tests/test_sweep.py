@@ -10,6 +10,7 @@ from diskextrema import (
     ConstantFunction,
     DomainError,
     ExpSeriesFunction,
+    InteriorBelowBoundary,
     PowerSeries,
     Reciprocal,
     check_max_lemma,
@@ -20,7 +21,7 @@ from diskextrema import (
     run_sweep,
     run_trial,
 )
-from diskextrema import sweep
+from diskextrema import extremum, sweep
 from diskextrema.extremum import _search_exp_batch
 from diskextrema.lemma import LINK_NAMES
 
@@ -217,3 +218,20 @@ class TestTrialErrors:
         self.patch_draws(monkeypatch, {5: lambda p: {"r": 1.5}})
         with pytest.raises(DomainError, match=r"^circle radius must lie in \(0, 1\), got 1.5$"):
             run_sweep(10, 42)
+
+    def test_an_edge_error_in_the_batch_surfaces_at_its_trial(self, monkeypatch):
+        # a negative tolerance fails every result's origin check: the batch
+        # leaves every row open, and the first scalar search, trial 0's, raises
+        monkeypatch.setattr(extremum, "INTERIOR_TOL", -1.0)
+        trials = [draw_trial(1, index) for index in range(5)]
+        assert sweep._batched_searches(trials, DEFAULT_GRID) == ([None] * 5, [None] * 5)
+        radii, search = [], sweep.find_min_on_disk
+
+        def spy(f, r, grid):
+            radii.append(r)
+            return search(f, r, grid)
+
+        monkeypatch.setattr(sweep, "find_min_on_disk", spy)
+        with pytest.raises(InteriorBelowBoundary, match="^boundary ring or origin sample"):
+            run_sweep(5, 1)
+        assert radii == [trials[0].r]
