@@ -19,15 +19,15 @@ from diskextrema import (
     check_min_theorem,
     find_max_on_disk,
     find_min_on_disk,
-    format_report,
 )
+from diskextrema.lemma import format_doc
 
 # --- minimum case on the reference family ---------------------------------
 family = ExampleFamily(0.8, 2)
 located = find_min_on_disk(family, 0.5)
 report = check_min_theorem(family, 2, located.z0)
 print("minimum-case report for the reference family:")
-print(format_report(report))
+print(format_doc(report.to_dict()))
 
 # --- the duality construction ----------------------------------------------
 # The minimum chain for f is exactly the maximum chain for 1/f at the same

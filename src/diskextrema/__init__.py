@@ -46,14 +46,11 @@ from .lemma import (
     LinkCheck,
     check_max_lemma,
     check_min_theorem,
-    format_report,
     mocanu_bounds,
 )
 from .series import (
-    DEFAULT_ORDER,
     PowerSeries,
     exp_series,
-    format_series,
     invert_series,
     parse_series,
     read_series,

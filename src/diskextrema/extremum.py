@@ -3,19 +3,15 @@
 The search is a certified uniform angular grid followed by one
 refinement stage per candidate basin.
 
-The grid is certified by ``K = f.log_modulus_curvature(r, moduli)``, a
-bound on ``|u''|`` for ``u(theta) = log|f(r e^{i theta})|``: between two
-nodes ``delta`` apart, ``u`` stays above the lower node minus
-``slack = K delta^2 / 8`` and below the higher node plus it.  A maximum
-search takes ``C = f.square_modulus_curvature(r)``, a bound on the
-curvature of ``|f|^2``, when f has one: with ``x = C delta^2 / (8 H^2)``
-for the highest node ``H``, ``|f|^2`` drops at most ``x H^2`` from a
-local maximum to its nearest node, so ``slack = -log(1 - x) / 2``; no
-floor of ``|f|`` enters, which keeps functions with zeros near the
-circle cheap.  The grid starts at the requested size and doubles while
+The grid is certified by ``slack = f.grid_slack(r, moduli, minimize)``:
+between two nodes, ``u(theta) = log|f(r e^{i theta})|`` stays above the
+lower node minus the slack and below the higher node plus it.  Each
+function class owns its rule; the default is ``K delta^2 / 8`` for nodes
+``delta`` apart, with ``K = f.log_modulus_curvature(r, moduli)`` a bound
+on ``|u''|``.  The grid starts at the requested size and doubles while
 the slack exceeds 1/16 of the grid's log-modulus spread plus a rounding
-floor, or while f needs finer samples to bound ``K``, up to the zero
-count's cap of ``2^20`` samples; a function with no bound keeps its
+floor, or while the slack is None (f needs finer samples), up to the
+zero count's cap of ``2^20`` samples; a function with no bound keeps its
 grid.  Every grid-local extremum whose modulus is within a factor
 ``e^slack`` of the grid winner's may hold the true extremum, so each
 one is refined, the winner first, and the best result wins (the earlier
@@ -97,8 +93,8 @@ from .errors import (
     ZeroInDisk,
     ZeroOnCircle,
 )
-from .functions import _ROUNDING, _WINDING_CAP, TAU, AnalyticFunction, _require_radius, _rotation_order
-from .lemma import ZERO_THRESHOLD
+from .functions import _ROUNDING, _WINDING_CAP, TAU, ZERO_THRESHOLD, AnalyticFunction
+from .functions import _require_radius, _rotation_order
 
 #: Coarsest angular grid of a circle search; the curvature certificate refines it.
 DEFAULT_GRID = 256
@@ -231,9 +227,6 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     """The certified search of the boundary circle, with a minimum's zero count and the edge check."""
     _require_grid(r, grid)
     sign = 1.0 if minimize else -1.0
-    # A maximum search takes the bound on (|f|^2)'' when f has one, which
-    # needs no floor of |f|; otherwise the bound on (log|f|)''.
-    square = math.inf if minimize else f.square_modulus_curvature(r)
     zeros = None if minimize else 0
     samples = grid
     while True:
@@ -249,23 +242,14 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
             if zeros:
                 raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
         # The slack stays None while the count or the bound needs finer samples.
-        step = TAU / samples
-        if zeros is None:
-            slack = None
-        elif square < math.inf:
-            # |f|^2 drops at most x high^2 from a local maximum to its
-            # nearest node, and rises at most that above the highest node.
-            x = square * step**2 / (8.0 * high * high) if square else 0.0
-            slack = -0.5 * math.log1p(-x) if x < 1.0 else None
-        else:
-            curvature = f.log_modulus_curvature(r, moduli)
-            slack = None if curvature is None else curvature * step**2 / 8.0
+        slack = None if zeros is None else f.grid_slack(r, moduli, minimize)
         spread = math.log(high) - math.log(low) if low > 0.0 else math.inf
         done = slack is not None and _grid_settled(slack, spread)
         if done or 2 * samples > _WINDING_CAP:
             break
         samples *= 2
     slack = math.inf if slack is None else slack
+    step = TAU / samples
 
     key = sign * moduli  # a local: freeing it before the polish made 32768-point searches 7% slower
     _, indices = _candidates(key[None], slack, spread, sign)
@@ -512,9 +496,7 @@ def find_max_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) ->
     """Maximize |f| over the closed disk ``|z| <= r`` (always on the boundary).
 
     The grid is certified and refined as in :func:`find_min_on_disk`, with
-    the same tie rule, except that a function that bounds the curvature of
-    ``|f|^2`` is certified by that bound rather than by the curvature of
-    ``log|f|``.  The result must reach |f| at the origin and on a 256-point
+    the same tie rule, by the maximum's ``f.grid_slack``.  The result must reach |f| at the origin and on a 256-point
     boundary ring (sampled only when the final grid does not hold it); a
     non-analytic f, or one whose curvature bound is wrong, can fall short.
     """

@@ -24,14 +24,17 @@ reciprocal have none by construction.  A series tries Rouche's theorem
 against its constant term and otherwise takes the winding number of the
 circle samples it is given, once they are fine enough to make it exact.
 
-``log_modulus_curvature`` bounds ``|d^2/dtheta^2 log|f(r e^{i theta})||``
-on a circle, which is what lets the extremum search trust a coarse grid:
-between two nodes ``delta`` apart the log-modulus can dip below the lower
-node by at most ``K delta^2 / 8``.  A series with no dominant term floors
-``|f|`` from the grid's moduli.  Both methods answer None on samples too
-coarse for them.  ``rotation_order`` names the ``d`` with
-``f(e^{2 pi i/d} z) = f(z)``, so that the search polishes one basin of
-each set of rotated copies.
+``grid_slack`` is what lets the extremum search trust a coarse grid:
+how far, in log-modulus, the extremum between two nodes can lie beyond
+the nodes.  Each class bounds ``|d^2/dtheta^2 log|f(r e^{i theta})||`` on
+a circle by ``K = log_modulus_curvature``, and between two nodes
+``delta`` apart the log-modulus can dip below the lower node by at most
+``K delta^2 / 8``; that is the slack of every search but a series'
+maximum, which bounds the curvature of ``|f|^2`` instead.  A series with
+no dominant term floors ``|f|`` from the grid's moduli.  These methods
+answer None on samples too coarse for them.  ``rotation_order`` names the
+``d`` with ``f(e^{2 pi i/d} z) = f(z)``, so that the search polishes one
+basin of each set of rotated copies.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ZeroOnCircle
 from .series import TAU, PowerSeries
 
+#: Moduli below this are treated as zeros of f, by the extremum search and the chain checks.
+ZERO_THRESHOLD = 1e-13
 #: Relative rounding allowed in a tail sum or an FFT sample of a series
 #: (and so in a grid's log-modulus, for the extremum search).
 _ROUNDING = 64 * np.finfo(np.float64).eps
@@ -129,13 +134,15 @@ class AnalyticFunction(ABC):
         coarse, ``math.inf`` when the class cannot bound ``K`` on this circle.
         """
 
-    def square_modulus_curvature(self, r: float) -> float:
-        """``C >= max |d^2/dtheta^2 |f(r e^{i theta})|^2|`` on ``|z| = r``.
+    def grid_slack(self, r: float, moduli: np.ndarray, minimize: bool) -> float | None:
+        """How far ``log|f|`` can pass the ``M`` grid ``moduli`` between two nodes.
 
-        A maximum search may use it where ``log_modulus_curvature`` is
-        loose; this default, ``math.inf``, gives it nothing.
+        This default, in both searches, is ``K (2 pi / M)^2 / 8`` with ``K``
+        the :meth:`log_modulus_curvature`: None while the moduli are too
+        coarse to bound ``K``, ``inf`` when ``K`` is.
         """
-        return math.inf
+        curvature = self.log_modulus_curvature(r, moduli)
+        return None if curvature is None else float(curvature * (TAU / len(moduli)) ** 2 / 8.0)
 
     def rotation_order(self) -> int:
         """A ``d >= 1`` with ``f(e^{2 pi i/d} z) = f(z)``; this default claims none."""
@@ -251,6 +258,24 @@ class SeriesFunction(AnalyticFunction):
                 return None if margin is None else math.inf
         slope = _tail_moment(s, r, 1, j) / margin
         return _tail_moment(s, r, 2, j) / margin + slope * slope
+
+    def grid_slack(self, r: float, moduli: np.ndarray, minimize: bool) -> float | None:
+        """A maximum's slack ``-log(1 - x) / 2`` with ``x = C (2 pi / M)^2 / (8 H^2)``.
+
+        ``C`` is the :meth:`square_modulus_curvature` and ``H`` the highest
+        of the ``M`` grid ``moduli``.  ``|f|^2`` drops at most ``x H^2``
+        from a local maximum to its nearest node, and rises at most that
+        above the highest node; None for ``x >= 1``.  No floor of ``|f|``
+        enters, which keeps series with zeros near the circle, like those
+        with ``f(0) = 0`` of the maximum lemma, cheap.  A minimum, and a
+        ``C`` that overflows, take the log-modulus slack.
+        """
+        square = math.inf if minimize else self.square_modulus_curvature(r)
+        if square == math.inf:
+            return super().grid_slack(r, moduli, minimize)
+        high = float(moduli.max())
+        x = square * (TAU / len(moduli)) ** 2 / (8.0 * high * high) if square else 0.0
+        return -0.5 * math.log1p(-x) if x < 1.0 else None
 
     def square_modulus_curvature(self, r: float) -> float:
         """``min(D^2 B^2, 2 (B S2 + S1^2))`` with ``B = sum |a_k| r^k``.
@@ -466,7 +491,12 @@ class Reciprocal(AnalyticFunction):
         return 1.0 / self.inner.value(z)
 
     def on_circle(self, r: float, samples: int) -> np.ndarray:
-        return 1.0 / self.inner.on_circle(r, samples)
+        """``1 / f`` at the grid points; raises ZeroOnCircle at a pole, before dividing."""
+        values = self.inner.on_circle(r, samples)
+        pole = int(np.abs(values).argmin())
+        if abs(values[pole]) < ZERO_THRESHOLD:
+            raise ZeroOnCircle(f"1/f has a pole at theta = {TAU * pole / samples} on |z| = {r}")
+        return 1.0 / values
 
     def jet(self, z):
         v, d1, d2 = self.inner.jet(z)

@@ -36,11 +36,9 @@ from .errors import (
     ZeroDenominator,
     ZeroInDisk,
 )
-from .functions import AnalyticFunction
+from .functions import ZERO_THRESHOLD, AnalyticFunction
 
 DEFAULT_TOL = 1e-8
-#: Moduli below this are treated as zeros of f (also by the extremum search).
-ZERO_THRESHOLD = 1e-13
 
 #: Fixed link order; serialization and text output follow it.
 LINK_NAMES = ("im_residual", "m_sign", "schwarz_vs_m", "m_vs_bound_sq", "bound_ordering")
@@ -155,11 +153,6 @@ def format_doc(doc, prefix: str = "") -> str:
         else:
             lines.append(f"{prefix}{key} = {format_value(value)}\n")
     return "".join(lines)
-
-
-def format_report(report: LemmaReport) -> str:
-    """Flat ``key = value`` text rendering with 17 significant digits."""
-    return format_doc(report.to_dict())
 
 
 def _link(margin: float, tol: float) -> LinkCheck:

@@ -41,7 +41,6 @@ Evaluation has one path per shape of call:
 from __future__ import annotations
 
 import cmath
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -271,21 +270,14 @@ def parse_series(text: str) -> PowerSeries:
     return PowerSeries(a0, n, coeffs)
 
 
-def format_series(s: PowerSeries) -> str:
-    """Render a series in the literal file format (17 significant digits)."""
-    out = io.StringIO()
-    out.write(f"{s.a0.real:.17g} {s.a0.imag:.17g}\n")
-    out.write(f"{s.n} {s.order}\n")
-    for k, c in zip(range(s.n, s.order + 1), s.coeffs):
-        out.write(f"{k} {c.real:.17g} {c.imag:.17g}\n")
-    return out.getvalue()
-
-
 def read_series(path) -> PowerSeries:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_series(fh.read())
 
 
 def write_series(s: PowerSeries, path) -> None:
+    """Write a series in the literal file format (17 significant digits)."""
+    lines = [f"{s.a0.real:.17g} {s.a0.imag:.17g}\n{s.n} {s.order}\n"]
+    lines += [f"{k} {c.real:.17g} {c.imag:.17g}\n" for k, c in enumerate(s.coeffs.tolist(), s.n)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_series(s))
+        fh.write("".join(lines))

@@ -351,6 +351,16 @@ class TestLandscapeCommand:
         assert "finite" in err
         assert not target.exists()
 
+    def test_reciprocal_pole_on_the_circle_writes_no_profile(self, tmp_path):
+        path, target = tmp_path / "f.txt", tmp_path / "p.csv"
+        path.write_text("-0.5 0\n1 1\n1 1 0\n")  # f = z - 0.5
+        code, out, err = run_cli(
+            ["landscape", "--input", str(path), "--r", "0.5", "--reciprocal", "--output", str(target)]
+        )
+        assert code == 2 and out == ""
+        assert err == "error: the function vanishes on the search region: 1/f has a pole at theta = 0.0 on |z| = 0.5\n"
+        assert not target.exists()
+
 
 #: Minimal argv of each subcommand, the flags it requires (each followed by
 #: one value in that argv), and the destinations and defaults of its namespace.

@@ -29,10 +29,7 @@ def constant(value: complex) -> SeriesFunction:
 class Uncertified(SeriesFunction):
     """A series that claims a flat modulus, so its first grid is trusted."""
 
-    def log_modulus_curvature(self, r: float, moduli) -> float:
-        return 0.0
-
-    def square_modulus_curvature(self, r: float) -> float:
+    def grid_slack(self, r: float, moduli, minimize: bool) -> float:
         return 0.0
 
 
@@ -487,6 +484,25 @@ class _NotAnalytic(AnalyticFunction):
 
     def log_modulus_curvature(self, r: float, moduli) -> float:
         return 0.0  # |f| = 2 - r^2 on the whole circle
+
+
+class TestReciprocalPole:
+    """``1/(z - 0.5)`` has a pole on ``|z| = 0.5``, at theta = 0."""
+
+    f = Reciprocal(SeriesFunction(PowerSeries(-0.5, 1, [1.0])))
+
+    @pytest.mark.parametrize("search", [find_max_on_disk, find_min_on_disk, modulus_profile])
+    def test_raises_zero_on_circle_naming_the_pole(self, search):
+        with pytest.raises(ZeroOnCircle, match=r"^1/f has a pole at theta = 0\.0 on \|z\| = 0\.5$"):
+            search(self.f, 0.5)
+
+    def test_certified_gap_is_a_python_float(self):
+        # the inner series' log-modulus bound, which 1/f borrows, is a numpy float here
+        f = Reciprocal(SeriesFunction(PowerSeries(0.1, 1, [0.3, 0.9])))
+        assert type(find_min_on_disk(f, 0.5).certified_gap) is float
+        for f in (ExampleFamily(0.8, 2), random_exp_function(np.random.default_rng(3)), constant(2.0)):
+            for search in (find_min_on_disk, find_max_on_disk):
+                assert type(search(f, 0.5).certified_gap) is float
 
 
 class TestFindMaxOnDisk:

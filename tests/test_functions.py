@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from diskextrema import (
     SeriesFunction,
     find_min_on_disk,
 )
+from diskextrema.series import TAU
 from conftest import Rotated, central_diff1, central_diff2, random_series, tame_series
 
 
@@ -568,5 +571,63 @@ class TestSquareModulusCurvature:
     def test_monomial_is_flat(self):
         assert SeriesFunction(PowerSeries(0.0, 3, [2j])).square_modulus_curvature(0.7) == 0.0
 
-    def test_default_is_unbounded(self):
-        assert Reciprocal(SeriesFunction(PowerSeries(1.0, 1, [0.5]))).square_modulus_curvature(0.5) == np.inf
+
+def inlined_slack(f: AnalyticFunction, r: float, moduli: np.ndarray, minimize: bool):
+    """The slack formula that ``_search_circle`` inlined before ``grid_slack`` existed.
+
+    A maximum took the bound on ``(|f|^2)''`` of a class that had a finite
+    one, and every other search the bound on ``(log|f|)''``.
+    """
+    step = TAU / len(moduli)
+    square = math.inf if minimize else getattr(f, "square_modulus_curvature", lambda r: math.inf)(r)
+    if square < math.inf:
+        high = float(moduli.max())
+        x = square * step**2 / (8.0 * high * high) if square else 0.0
+        return -0.5 * math.log1p(-x) if x < 1.0 else None
+    curvature = f.log_modulus_curvature(r, moduli)
+    return None if curvature is None else curvature * step**2 / 8.0
+
+
+def slack_cases(rng):
+    """``(f, r)`` pairs of every class, with and without a dominant term or zeros near the circle."""
+    for _ in range(6):
+        yield SeriesFunction(random_series(rng, degree=int(rng.integers(1, 30)), a0_modulus=(0.0, 2.0))), 0.9
+        yield SeriesFunction(tame_series(rng)), 0.7
+        yield Reciprocal(SeriesFunction(tame_series(rng))), 0.8
+        yield ExpSeriesFunction(rng.uniform(0.5, 2.0), PowerSeries(0.0, 2, rng.uniform(-1, 1, 5))), 0.6
+    for a0, n in ((0.8, 2), (0.6j, 7), (-1.5, 1)):
+        yield ExampleFamily(a0, n), 0.5
+        yield Reciprocal(ExampleFamily(a0, n)), 0.95
+    yield SeriesFunction(PowerSeries(0.0, 3, [2j])), 0.7  # flat: C = 0
+    yield SeriesFunction(PowerSeries(-0.5, 1, [0.5, 0.5])), 0.62  # no dominant term, a zero just inside
+    yield SeriesFunction(PowerSeries(1e200, 1, [1e200])), 0.5  # C overflows to inf
+
+
+class TestGridSlack:
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_bit_equal_to_the_inlined_rule(self, rng, minimize):
+        for f, r in slack_cases(rng):
+            for samples in (256, 512, 1024, 2048, 4096):
+                moduli = np.abs(f.on_circle(r, samples))
+                slack = f.grid_slack(r, moduli, minimize)
+                expected = inlined_slack(f, r, moduli, minimize)
+                assert (slack is None) == (expected is None)
+                if slack is not None:
+                    assert type(slack) is float
+                    assert slack.hex() == float(expected).hex()
+
+    def test_too_coarse_is_none(self):
+        # z + z^31 on 8 points: x >= 1, so the maximum needs a finer grid
+        f = SeriesFunction(PowerSeries(0.0, 1, np.r_[1.0, np.zeros(29), 1.0]))
+        assert f.grid_slack(0.99, np.abs(f.on_circle(0.99, 8)), minimize=False) is None
+        assert f.grid_slack(0.99, np.abs(f.on_circle(0.99, 1 << 14)), minimize=False) > 0.0
+
+    def test_reciprocal_takes_the_log_form(self):
+        inner = SeriesFunction(PowerSeries(1.0, 1, [0.5]))
+        f, r = Reciprocal(inner), 0.5
+        assert not hasattr(AnalyticFunction, "square_modulus_curvature")
+        assert not hasattr(f, "square_modulus_curvature")
+        moduli = np.abs(f.on_circle(r, 256))
+        log_form = float(inner.log_modulus_curvature(r, 1.0 / moduli) * (TAU / 256) ** 2 / 8.0)
+        assert f.grid_slack(r, moduli, minimize=False) == f.grid_slack(r, moduli, minimize=True) == log_form
+        assert log_form != inner.grid_slack(r, 1.0 / moduli, minimize=False)

@@ -21,7 +21,6 @@ from diskextrema import (
     check_min_theorem,
     find_max_on_disk,
     find_min_on_disk,
-    format_report,
     mocanu_bounds,
 )
 from diskextrema.lemma import format_doc
@@ -284,7 +283,7 @@ class TestReportStructure:
         }
 
     def test_text_format_is_stable(self, report):
-        lines = format_report(report).splitlines()
+        lines = format_doc(report.to_dict()).splitlines()
         keys = [line.split(" = ")[0] for line in lines]
         assert keys[:6] == ["case", "n", "z0_re", "z0_im", "f_z0_re", "f_z0_im"]
         assert "checks.im_residual.passed" in keys
@@ -298,6 +297,6 @@ class TestReportStructure:
 
     def test_skipped_link_serializes_as_null(self):
         f = SeriesFunction(PowerSeries(0.8, 2, [1.0, -4.0 / 3.0]))
-        text = format_report(check_max_lemma(f, 2, 0.5))
+        text = format_doc(check_max_lemma(f, 2, 0.5).to_dict())
         assert "schwarz = null" in text
         assert "checks.schwarz_vs_m.margin = null" in text

@@ -4,15 +4,15 @@ import diskextrema
 
 #: The package's public names; adding or removing one is an API change.
 PUBLIC_NAMES = [
-    "AnalyticFunction", "ChainValues", "ConstantFunction", "DEFAULT_GRID", "DEFAULT_ORDER",
-    "DEFAULT_TOL", "DegenerateModuli", "DiskExtremaError", "DiskImage", "DomainError",
-    "ExampleFamily", "ExpSeriesFunction", "ExtremumResult", "InteriorAboveBoundary",
-    "InteriorBelowBoundary", "LemmaReport", "LinkCheck", "MinPoint", "PowerSeries", "Reciprocal",
-    "SeriesFormatError", "SeriesFunction", "SweepSummary", "TrialFunction", "TrialOutcome",
-    "ZeroDenominator", "ZeroInDisk", "ZeroOnCircle", "check_max_lemma", "check_min_theorem",
-    "draw_trial", "exp_series", "find_max_on_disk", "find_min_on_disk", "format_report",
-    "format_series", "invert_series", "mocanu_bounds", "modulus_profile", "parse_series",
-    "read_series", "run_sweep", "run_trial", "write_profile_csv", "write_series",
+    "AnalyticFunction", "ChainValues", "ConstantFunction", "DEFAULT_GRID", "DEFAULT_TOL",
+    "DegenerateModuli", "DiskExtremaError", "DiskImage", "DomainError", "ExampleFamily",
+    "ExpSeriesFunction", "ExtremumResult", "InteriorAboveBoundary", "InteriorBelowBoundary",
+    "LemmaReport", "LinkCheck", "MinPoint", "PowerSeries", "Reciprocal", "SeriesFormatError",
+    "SeriesFunction", "SweepSummary", "TrialFunction", "TrialOutcome", "ZeroDenominator",
+    "ZeroInDisk", "ZeroOnCircle", "check_max_lemma", "check_min_theorem", "draw_trial",
+    "exp_series", "find_max_on_disk", "find_min_on_disk", "invert_series", "mocanu_bounds",
+    "modulus_profile", "parse_series", "read_series", "run_sweep", "run_trial",
+    "write_profile_csv", "write_series",
 ]
 
 

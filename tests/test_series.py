@@ -8,7 +8,6 @@ from diskextrema import (
     PowerSeries,
     SeriesFormatError,
     exp_series,
-    format_series,
     invert_series,
     parse_series,
     read_series,
@@ -372,8 +371,9 @@ class TestFileFormat:
         assert s.is_constant()
         assert s(0.3) == 2.0
 
-    def test_format_uses_17_digits(self):
-        s = PowerSeries(1 / 3, 1, [2 / 3])
-        text = format_series(s)
-        assert "0.33333333333333331" in text
-        assert "0.66666666666666663" in text
+    def test_format_uses_17_digits(self, tmp_path):
+        path = tmp_path / "series.txt"
+        write_series(PowerSeries(1 / 3, 2, [2 / 3, 0.0, 0.1 - 1e-300j]), path)
+        assert path.read_bytes() == (
+            b"0.33333333333333331 0\n2 4\n2 0.66666666666666663 0\n3 0 0\n4 0.10000000000000001 -1e-300\n"
+        )
