@@ -54,7 +54,9 @@ Disk extrema reduce to circle extrema: the maximum modulus of an analytic
 function over a closed sub-disk is attained on the boundary circle, and
 so is the minimum when the function has no zeros there.  The minimum
 search asks ``f.count_zeros`` about each grid's samples, after the check
-for a zero on a node, and doubles a grid too coarse to settle the count.
+for a zero on a node, and doubles a grid too coarse to settle the count;
+the maximum search asks for poles the same way, which only a reciprocal
+can have.
 Both disk searches check their result against the origin and one
 256-point boundary ring, which catches functions that are not analytic
 and a curvature bound that is wrong.  The result is no worse than any
@@ -64,25 +66,29 @@ holds the ring and only the origin is sampled.
 These rules are written once, for one function or for a stack of them:
 ``_grid_settled`` accepts a grid, ``_candidates`` picks the candidates
 from a ``(T, M)`` grid of moduli (``T = 1`` for one function), and
-``_settle`` skips rotated copies, keeps the best basin, checks the
-origin and ring and builds the result.  The caller brings the sampler
-and the polish kernel: for one function, one ``f.on_circle`` call per
-grid and ``_polish`` on ``f.jet``.  A sweep searches the stack of its
-functions ``a0 exp(h)``, or of their reciprocals, at once
-(``_search_exp_batch``): one ``(T, M)`` inverse FFT of the exponents
-gives every row's grid, ``K = sum k^2 |h_k| r^k`` certifies it, and
-``_polish_rows`` polishes every candidate of every row in one vector
-loop, with the jets taken by Horner's rule.  Each row's arithmetic is
-elementwise, so its result does not depend on the rest of the batch.  A
-row whose grid would double, whose bracket holds no sign change, or that
-would raise is left to the one-function search, and so is every row of a
-grid that is not a multiple of 256 points.
+``_best`` skips rotated copies, keeps the best basin and checks the
+origin and ring.  The caller brings the sampler and the polish kernel:
+for one function, one ``f.on_circle`` call per grid and ``_polish`` on
+``f.jet``, with ``_settle`` building the :class:`ExtremumResult`.  A
+sweep searches the stack of its functions ``a0 exp(h)`` and of their
+reciprocals at once (``_search_exp_batch``, minima and maxima row by
+row): one ``(T, M)`` inverse FFT
+of the exponents gives every row's grid, ``K = sum k^2 |h_k| r^k``
+certifies it, and ``_polish_rows`` polishes every candidate of every row
+in one vector loop, with the jets taken by Horner's rule.  A row's result
+carries no ``z0``; ``_exp_jets`` takes the jets at the located points for
+the sweep's chain.  Each row's arithmetic is elementwise, so its
+result does not depend on the rest of the batch.  A row whose grid would
+double, whose bracket holds no sign change, or that would raise is left
+to the one-function search, and so is every row of a grid that is not a
+multiple of 256 points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,7 +233,7 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
     """The certified search of the boundary circle, with a minimum's zero count and the edge check."""
     _require_grid(r, grid)
     sign = 1.0 if minimize else -1.0
-    zeros = None if minimize else 0
+    zeros = None
     samples = grid
     while True:
         values = f.on_circle(r, samples)
@@ -238,9 +244,11 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
                 f"|f| = {low:.3e} on |z| = {r}; the function vanishes on the circle"
             )
         if zeros is None:
-            zeros = f.count_zeros(r, values)
+            # a minimum needs f free of zeros in the disk, a maximum free of poles
+            zeros = f.count_zeros(r, values) if minimize else f._count_poles(r, values)
             if zeros:
-                raise ZeroInDisk(f"f vanishes in |z| < {r}: {zeros} zero(s) by the argument principle")
+                what = f"f vanishes in |z| < {r}: {zeros} zero(s)" if minimize else f"f has {zeros} pole(s) in |z| < {r}"
+                raise ZeroInDisk(f"{what} by the argument principle")
         # The slack stays None while the count or the bound needs finer samples.
         slack = None if zeros is None else f.grid_slack(r, moduli, minimize)
         spread = math.log(high) - math.log(low) if low > 0.0 else math.inf
@@ -292,14 +300,32 @@ def _candidates(key: np.ndarray, slack, spread, sign: float) -> tuple[np.ndarray
 
 
 def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float, slack: float, edge):
-    """The :class:`ExtremumResult` of one circle from its candidates' grid ``indices``, the winner first.
+    """The :class:`ExtremumResult` of one circle of radius ``r``: :func:`_best` of its candidates."""
+    best = _best(indices, samples, polish, rotation_order, sign, edge)
+    if best is None:
+        return None
+    theta, value, bracket, iterations = best
+    return ExtremumResult(
+        theta=theta,
+        z0=complex(r * np.exp(1j * theta)),
+        value=value,
+        grid_size=samples,
+        refine_iterations=iterations,
+        bracket_width=bracket,
+        certified_gap=slack,
+    )
 
-    ``polish(i, theta)`` gives :func:`_polish`'s tuple for candidate ``i``
-    at grid angle ``theta``, or None, which makes the result None.  A
-    candidate within a grid step of a rotated copy (``rotation_order()``)
-    of one already polished is skipped.  The best result wins, the earlier
-    on a tie; one that beats ``edge()``, the least favourable origin or
-    ring modulus, by more than ``INTERIOR_TOL`` raises.
+
+def _best(indices, samples: int, polish, rotation_order, sign: float, edge):
+    """``(theta, |f|, bracket width, polish steps)`` of one circle from its candidates' grid ``indices``.
+
+    The winner comes first.  ``polish(i, theta)`` gives :func:`_polish`'s
+    tuple for candidate ``i`` at grid angle ``theta``, or None, which makes
+    the result None.  A candidate within a grid step of a rotated copy
+    (``rotation_order()``) of one already polished is skipped.  The best
+    result wins, the earlier on a tie; one that beats ``edge()``, the least
+    favourable origin or ring modulus, by more than ``INTERIOR_TOL`` raises.
+    The steps are summed over the candidates polished.
     """
     step = TAU / samples
     order = rotation_order() if len(indices) > 1 else 1
@@ -322,15 +348,7 @@ def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float
         error = InteriorBelowBoundary if sign > 0.0 else InteriorAboveBoundary
         relation = "undercuts located minimum" if sign > 0.0 else "exceeds located maximum"
         raise error(f"boundary ring or origin sample {bound:.17g} {relation} {value:.17g}")
-    return ExtremumResult(
-        theta=theta,
-        z0=complex(r * np.exp(1j * theta)),
-        value=value,
-        grid_size=samples,
-        refine_iterations=iterations,
-        bracket_width=bracket,
-        certified_gap=slack,
-    )
+    return theta, value, bracket, iterations
 
 
 def _is_rotated_copy(theta: float, polished, order: int, step: float) -> bool:
@@ -389,30 +407,49 @@ def _polish_rows(sample, theta: np.ndarray, step: float, sign: float):
     return [row if ok else None for row, ok in zip(zip(*picked, iterations.tolist()), fine.tolist())]
 
 
-def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize: bool) -> list:
+class _RowExtremum(NamedTuple):
+    """One row of :func:`_search_exp_batch`: the :class:`ExtremumResult` fields but ``z0`` and ``grid_size``."""
+
+    theta: float
+    value: float
+    bracket_width: float
+    refine_iterations: int
+    certified_gap: float
+
+
+def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize) -> list:
     """:func:`find_min_on_disk` of ``f = a0 exp(h)``, or :func:`find_max_on_disk` of ``1/f``, for each row.
 
     ``a0`` and ``r`` are ``(T,)`` arrays and ``h`` is ``(T, W)``, the
-    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``.  A
-    row that the scalar search would refine to a finer grid, walk, or
-    raise for is None, and so is every row when ``grid`` is not a multiple
-    of ``BOUNDARY_RING``; the caller runs the scalar search for those.
+    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``;
+    ``minimize`` is one bool or one per row, so that minima and maxima can
+    share the polish loop.  A row's result is a :class:`_RowExtremum` on
+    ``grid``.  A row that the scalar search would refine to a finer grid,
+    walk, or raise for is None, and so is every row when ``grid`` is not a
+    multiple of ``BOUNDARY_RING``; the caller runs the scalar search for
+    those.
     """
     count = len(a0)
     if grid < BOUNDARY_RING or grid % BOUNDARY_RING:
         return [None] * count
-    sign = 1.0 if minimize else -1.0
+    minimize = np.broadcast_to(minimize, count)
+    sign = np.where(minimize, 1.0, -1.0)
     step = TAU / grid
     k = np.arange(h.shape[1])
     # Rows out of range come back None, for the scalar search to raise.
     with np.errstate(all="ignore"):
         power = r[:, None] ** k
-        bins = np.zeros((count, grid), dtype=np.complex128)
-        bins[:, : len(k)] = h * power
+        # In place, and freed before the polish: the rows of minima and maxima
+        # share one batch, so its arrays are twice the size of one search's.
+        spectrum = np.zeros((count, grid), dtype=np.complex128)
+        spectrum[:, : len(k)] = h * power
+        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        spectrum *= grid
         # |a0 exp(h)| = |a0| e^{Re h}, and |1/f| is its reciprocal.
-        moduli = np.abs(a0)[:, None] * np.exp((np.fft.ifft(bins, axis=1) * grid).real)
-        if not minimize:
-            moduli = 1.0 / moduli
+        moduli = np.exp(spectrum.real)
+        del spectrum
+        moduli *= np.abs(a0)[:, None]
+        np.divide(1.0, moduli, out=moduli, where=~minimize[:, None])
         low, high = moduli.min(axis=1), moduli.max(axis=1)
         # ExpSeriesFunction.log_modulus_curvature, which 1/f shares.
         slack = (k * k * (np.abs(h) * power)).sum(axis=1) * step**2 / 8.0
@@ -426,52 +463,84 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
             # step meets the zero threshold of the scalar search.
             & (low * np.exp(-slack) > ZERO_THRESHOLD)
         )
-        rows, index = _candidates(sign * moduli, slack, spread, sign)
+        rows, index = _candidates(sign[:, None] * moduli, slack, spread, sign)
         rows, index = rows[ok[rows]], index[ok[rows]]
 
-        # Horner coefficients of h and h' for the candidates' rows, highest power first.
-        hr = h[rows]
-        derivative = np.zeros_like(hr)
-        derivative[:, :-1] = hr[:, 1:] * k[1:]
-        coeffs = np.ascontiguousarray(np.concatenate((hr, derivative))[:, ::-1].T)
-        scale, radius = a0[rows], r[rows]
+        coeffs = _horner_stack(h[rows], 1)
+        scale, radius, lows, signs = a0[rows], r[rows], minimize[rows], sign[rows]
 
         def sample(t: np.ndarray):
             z = radius * np.exp(1j * (t % TAU))
-            zz = np.concatenate((z, z))
-            acc = coeffs[0].copy()
-            for c in coeffs[1:]:
-                acc *= zz
-                acc += c
-            inner = scale * np.exp(acc[: len(rows)])  # ExpSeriesFunction.jet
-            d1 = inner * acc[len(rows) :]
-            if minimize:
-                value = inner
-            else:  # Reciprocal.jet
-                value = 1.0 / inner
-                d1 = -d1 / (inner * inner)
-            return value, sign * (z * d1 / value).imag
+            exponent, slope = _horner(coeffs, z)
+            inner = scale * np.exp(exponent)  # ExpSeriesFunction.jet
+            d1 = inner * slope
+            # Reciprocal.jet on the rows of a maximum
+            value = np.where(lows, inner, 1.0 / inner)
+            d1 = np.where(lows, d1, -d1 / (inner * inner))
+            return value, signs * (z * d1 / value).imag
 
         # Every candidate is polished in one loop, then the shared rules settle
         # each row; a rotated copy that they skip leaves its result unread.
-        polished = _polish_rows(sample, TAU * index / grid, step, sign)
-        origin = np.abs(a0 if minimize else 1.0 / a0).tolist()  # |f(0)| = |a0 exp(0)|
+        polished = _polish_rows(sample, TAU * index / grid, step, signs)
+        origin = np.abs(np.where(minimize, a0, 1.0 / a0)).tolist()  # |f(0)| = |a0 exp(0)|
     positions: dict[int, list[int]] = {}
     for position, row in enumerate(rows.tolist()):
         positions.setdefault(row, []).append(position)
     index = index.tolist()
 
+    slack, sign = slack.tolist(), sign.tolist()
     out: list = [None] * count
     for row, ps in positions.items():
         try:  # the grid is a multiple of the ring, so the origin is the only edge
-            out[row] = _settle(
+            best = _best(
                 [index[p] for p in ps], grid, lambda i, t, ps=ps: polished[ps[i]],
-                lambda row=row: _rotation_order(h[row]), sign, r[row], float(slack[row]),
-                lambda row=row: origin[row],
+                lambda row=row: _rotation_order(h[row]), sign[row], lambda row=row: origin[row],
             )
         except (InteriorBelowBoundary, InteriorAboveBoundary):
-            pass  # the scalar search raises it at the row's own trial
+            continue  # the scalar search raises it at the row's own trial
+        if best is not None:
+            out[row] = _RowExtremum(*best, slack[row])
     return out
+
+
+def _horner_stack(h: np.ndarray, derivatives: int) -> np.ndarray:
+    """Horner coefficients of each row of ``h`` and of its first ``derivatives`` derivatives.
+
+    ``h`` is ``(T, W)``, the coefficients of ``z^0 .. z^(W-1)``; the stack is
+    ``(W, derivatives + 1, T)``, highest power first.
+    """
+    k = np.arange(h.shape[1])
+    blocks = [h]
+    for _ in range(derivatives):
+        derivative = np.zeros_like(h)
+        derivative[:, :-1] = blocks[-1][:, 1:] * k[1:]
+        blocks.append(derivative)
+    return np.ascontiguousarray(np.stack(blocks)[:, :, ::-1].transpose(2, 0, 1))
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomials of a :func:`_horner_stack` at ``z``, one point per row: ``(derivatives + 1, T)``."""
+    acc = coeffs[0].copy()
+    for c in coeffs[1:]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _exp_jets(a0: np.ndarray, h: np.ndarray, z: np.ndarray, minimize: bool):
+    """``(f, f', f'')`` at ``z`` of each row's ``f = a0 exp(h)``, or of ``1/f``.
+
+    The arguments are as in :func:`_search_exp_batch`, with one point per
+    row; the jets follow ``ExpSeriesFunction.jet`` and ``Reciprocal.jet``,
+    by Horner's rule along the coefficients.
+    """
+    exponent, slope, bend = _horner(_horner_stack(h, 2), z)
+    f = a0 * np.exp(exponent)
+    d1 = f * slope
+    d2 = f * (bend + slope * slope)
+    if minimize:
+        return f, d1, d2
+    return 1.0 / f, -d1 / (f * f), (2.0 * d1 * d1 / f - d2) / (f * f)
 
 
 def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:

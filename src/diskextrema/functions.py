@@ -23,6 +23,9 @@ minimum-modulus statement.  The exponential, the reference family and the
 reciprocal have none by construction.  A series tries Rouche's theorem
 against its constant term and otherwise takes the winding number of the
 circle samples it is given, once they are fine enough to make it exact.
+A maximum needs f free of poles instead, which every class is but the
+reciprocal: it counts the zeros of its inner function from the same
+samples.
 
 ``grid_slack`` is what lets the extremum search trust a coarse grid:
 how far, in log-modulus, the extremum between two nodes can lie beyond
@@ -47,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ZeroOnCircle
+from .errors import DomainError, ZeroDenominator, ZeroOnCircle
 from .series import TAU, PowerSeries
 
 #: Moduli below this are treated as zeros of f, by the extremum search and the chain checks.
@@ -147,6 +150,10 @@ class AnalyticFunction(ABC):
     def rotation_order(self) -> int:
         """A ``d >= 1`` with ``f(e^{2 pi i/d} z) = f(z)``; this default claims none."""
         return 1
+
+    def _count_poles(self, r: float, values: np.ndarray) -> int | None:
+        """Number of poles in ``|z| < r``, as :meth:`count_zeros` counts zeros: none, for an analytic f."""
+        return 0
 
     def on_circle(self, r: float, samples: int) -> np.ndarray:
         """Values at ``r e^{i theta_k}``, ``theta_k = 2 pi k / samples``.
@@ -488,7 +495,10 @@ class Reciprocal(AnalyticFunction):
         self.n = inner.n
 
     def value(self, z):
-        return 1.0 / self.inner.value(z)
+        try:
+            return 1.0 / self.inner.value(z)
+        except ZeroDivisionError:  # a single point; arrays give inf
+            raise self._pole(z) from None
 
     def on_circle(self, r: float, samples: int) -> np.ndarray:
         """``1 / f`` at the grid points; raises ZeroOnCircle at a pole, before dividing."""
@@ -500,13 +510,24 @@ class Reciprocal(AnalyticFunction):
 
     def jet(self, z):
         v, d1, d2 = self.inner.jet(z)
-        return 1.0 / v, -d1 / (v * v), (2.0 * d1 * d1 / v - d2) / (v * v)
+        try:
+            return 1.0 / v, -d1 / (v * v), (2.0 * d1 * d1 / v - d2) / (v * v)
+        except ZeroDivisionError:
+            raise self._pole(z) from None
+
+    @staticmethod
+    def _pole(z) -> ZeroDenominator:
+        return ZeroDenominator(f"1/f has a pole at z = {complex(z)}: f vanishes there")
 
     def is_constant(self) -> bool:
         return self.inner.is_constant()
 
     def count_zeros(self, r: float, values: np.ndarray) -> int:
         return 0  # 1/f never vanishes
+
+    def _count_poles(self, r: float, values: np.ndarray) -> int | None:
+        """The zeros of f in ``|z| < r``, counted from the ``values`` of ``1/f``."""
+        return self.inner.count_zeros(r, 1.0 / values)
 
     def rotation_order(self) -> int:
         return self.inner.rotation_order()

@@ -22,12 +22,22 @@ as the real part of the ratio; the imaginary part is reported as a
 residual quantifying how extremal the supplied point really is, rather
 than being assumed to vanish.  Where ``f'(z0)`` vanishes the curvature
 quantity is undefined and its link is skipped.
+
+The link arithmetic is written once, in ``_links``: the same expressions
+take Python scalars at one point, which the checkers pass, or numpy
+columns at many, which the sweep passes for a whole batch of located
+points.  The checkers raise before it for a constant f, a zero at
+``z0`` and moduli too close for the bounds; the sweep sends the rows
+that would raise to the checkers, and builds a report only for the rows
+it reads (``_report``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     ConstantFunction,
@@ -56,18 +66,34 @@ def mocanu_bounds(a0: complex, fz0: complex, n: int, case: str) -> tuple[float, 
         raise DomainError(f"case must be 'max' or 'min', got {case!r}")
     a0 = complex(a0)
     fz0 = complex(fz0)
-    big = abs(fz0)
-    small = abs(a0)
-    if case == "min":
-        big, small = small, big
-    if big - small <= ZERO_THRESHOLD:
+    _require_apart(a0, fz0, case)
+    return _bounds(a0, fz0, n, case)
+
+
+def _moduli(a0, fz0, case: str):
+    """``(big, small)``: ``|f(z0)|`` and ``|a0|``, the one that the case needs larger first."""
+    return (abs(fz0), abs(a0)) if case == "max" else (abs(a0), abs(fz0))
+
+
+def _degenerate(a0, fz0, case: str):
+    """Whether the moduli are too close for the bounds: ``big - small <= ZERO_THRESHOLD``."""
+    big, small = _moduli(a0, fz0, case)
+    return big - small <= ZERO_THRESHOLD
+
+
+def _require_apart(a0: complex, fz0: complex, case: str) -> None:
+    if _degenerate(a0, fz0, case):
         raise DegenerateModuli(
             f"|f(z0)| = {abs(fz0):.17g} vs |a0| = {abs(a0):.17g}: "
             f"moduli too close for the {case}-case bounds"
         )
+
+
+def _bounds(a0, fz0, n, case: str):
+    big, small = _moduli(a0, fz0, case)
     diff = abs(fz0 - a0)
     # ratio first, then the integer scale: keeps the a0 = 0 case exact
-    bound_sq = n * (diff * diff / abs(abs(fz0) * abs(fz0) - abs(a0) * abs(a0)))
+    bound_sq = n * (diff * diff / (big * big - small * small))
     bound_abs = n * ((big - small) / (big + small))
     return bound_sq, bound_abs
 
@@ -155,8 +181,67 @@ def format_doc(doc, prefix: str = "") -> str:
     return "".join(lines)
 
 
-def _link(margin: float, tol: float) -> LinkCheck:
-    return LinkCheck(margin=margin, passed=margin >= -tol, strict=margin > 0.0)
+def _links(fz0, d1, d2, a0, n, z0, tol, case: str) -> tuple:
+    """Every link of the ``case`` chain, from the jet ``(fz0, d1, d2)`` at ``z0``.
+
+    The arguments are Python scalars, for one point, or ``(T,)`` numpy
+    columns (``tol`` may stay a scalar), for ``T`` points at once; the same
+    expressions serve both.  The caller rules out, or masks, the points
+    where the chain raises: ``|f(z0)| <= ZERO_THRESHOLD`` and moduli that
+    are :func:`_degenerate`.  Returns ``(m, im_residual, schwarz, bound_sq,
+    bound_abs, flat, margins, passed)``, with ``margins`` and ``passed`` in
+    ``LINK_NAMES`` order.  ``flat`` marks ``|f'(z0)| <= ZERO_THRESHOLD``,
+    where ``schwarz`` is undefined and its link is skipped: it passes, and
+    neither ``schwarz`` nor its margin is read.
+    """
+    # z0 f'/f, real at interior-of-arc modulus extrema
+    ratio = z0 * d1 / fz0
+    m = ratio.real if case == "max" else -ratio.real
+    im_residual = abs(ratio.imag)
+    # Re(z0 f''/f') + 1, the curvature-type quantity; a flat point divides
+    # by f' + 1, so that it raises nothing
+    flat = abs(d1) <= ZERO_THRESHOLD
+    schwarz = (z0 * d2 / (d1 + flat)).real + 1.0
+    bound_sq, bound_abs = _bounds(a0, fz0, n, case)
+    size = abs(m)
+    im_cap = tol * (np.fmax(1.0, size) if isinstance(size, np.ndarray) else max(1.0, size))
+    margins = (
+        im_cap - im_residual,
+        m,
+        schwarz - (m if case == "max" else -m),
+        m - bound_sq,
+        bound_sq - bound_abs,
+    )
+    passed = (
+        im_residual <= im_cap,
+        margins[1] >= -tol,
+        (margins[2] >= -tol) | flat,
+        margins[3] >= -tol,
+        margins[4] >= -tol,
+    )
+    return m, im_residual, schwarz, bound_sq, bound_abs, flat, margins, passed
+
+
+def _report(case: str, n: int, z0: complex, fz0: complex, links: tuple, tol: float) -> LemmaReport:
+    """The :class:`LemmaReport` of one point's :func:`_links`, all Python scalars (floats, not ints)."""
+    m, im_residual, schwarz, bound_sq, bound_abs, flat, margins, passed = links
+    strict = [margin > 0.0 for margin in margins]
+    checks = dict(zip(LINK_NAMES, map(LinkCheck, margins, passed, strict)))
+    if flat:
+        checks["schwarz_vs_m"] = LinkCheck(None, None, None)
+    return LemmaReport(
+        case=case,
+        n=n,
+        z0=z0,
+        f_z0=fz0,
+        m=m,
+        im_residual=im_residual,
+        schwarz=None if flat else schwarz,
+        bound_sq=bound_sq,
+        bound_abs=bound_abs,
+        checks=checks,
+        tolerance=tol,
+    )
 
 
 def _check_chain(f: AnalyticFunction, n: int, z0: complex, tol: float, case: str) -> LemmaReport:
@@ -165,47 +250,14 @@ def _check_chain(f: AnalyticFunction, n: int, z0: complex, tol: float, case: str
     if f.is_constant():
         raise ConstantFunction("the chain is vacuous for a constant function")
     z0 = complex(z0)
-    fz0, d1, d2 = (complex(v) for v in f.jet(z0))
+    fz0, d1, d2 = map(complex, f.jet(z0))
     if abs(fz0) <= ZERO_THRESHOLD:
         if case == "min":
             raise ZeroInDisk(f"|f(z0)| = {abs(fz0):.3e}; f vanishes at the claimed minimum")
         raise ZeroDenominator(f"|f(z0)| = {abs(fz0):.3e}; log-derivative ratio undefined")
-    # z0 f'/f, real at interior-of-arc modulus extrema
-    ratio = z0 * d1 / fz0
-    m = ratio.real if case == "max" else -ratio.real
-    im_residual = abs(ratio.imag)
-    # Re(z0 f''/f') + 1, the curvature-type quantity
-    schwarz = None if abs(d1) <= ZERO_THRESHOLD else (z0 * d2 / d1).real + 1.0
-    bound_sq, bound_abs = mocanu_bounds(f.a0, fz0, n, case)
-
-    im_cap = tol * max(1.0, abs(m))
-    schwarz_rhs = m if case == "max" else -m
-    checks = {
-        "im_residual": LinkCheck(
-            margin=im_cap - im_residual,
-            passed=im_residual <= im_cap,
-            strict=im_residual < im_cap,
-        ),
-        "m_sign": _link(m, tol),
-        "schwarz_vs_m": (
-            LinkCheck(None, None, None) if schwarz is None else _link(schwarz - schwarz_rhs, tol)
-        ),
-        "m_vs_bound_sq": _link(m - bound_sq, tol),
-        "bound_ordering": _link(bound_sq - bound_abs, tol),
-    }
-    return LemmaReport(
-        case=case,
-        n=n,
-        z0=z0,
-        f_z0=fz0,
-        m=float(m),
-        im_residual=float(im_residual),
-        schwarz=schwarz,
-        bound_sq=float(bound_sq),
-        bound_abs=float(bound_abs),
-        checks=checks,
-        tolerance=tol,
-    )
+    a0 = complex(f.a0)
+    _require_apart(a0, fz0, case)
+    return _report(case, n, z0, fz0, _links(fz0, d1, d2, a0, n, z0, tol, case), tol)
 
 
 def check_max_lemma(

@@ -11,30 +11,57 @@ All randomness is derived from ``(seed, trial_index)``; no global
 generator state is touched, so trials are reproducible individually and
 the sweep output is byte-identical across runs.
 
-The disk searches run in batches of up to 1024 trials on the default
-grid: the minima of all f as one batched search and the maxima of all
-``1/f`` as another, independent of the first, so the duality gap stays a
-check.  A batch shares the rules of ``find_min_on_disk`` and
-``find_max_on_disk``, with its own sampler and polish kernel.  A trial
-that it leaves open (a grid that is not a multiple of 256 points, a grid
-that must double, a bracket without a sign change, or anything that
-would raise) takes those scalar searches.  The chain checks stay scalar
-and run in trial order, so an error surfaces at its own trial.  A row's
-result does not depend on its batch, and ``run_trial(seed, k)`` runs the
-same code on one index, so it replays trial ``k`` of a sweep exactly.
+The disk searches run in batches of up to 512 trials on the default
+grid: the minima of all f and the maxima of all ``1/f`` as the two halves
+of one batched search, whose rows are independent, so the duality gap
+stays a check.  A batch shares the rules of ``find_min_on_disk`` and
+``find_max_on_disk``, with its own sampler and polish kernel.  The chain
+checks run over the batch too: each row's jet at its located point comes
+from Horner's rule over the exponents' coefficients (the formulas of
+``ExpSeriesFunction.jet`` and ``Reciprocal.jet``), and every link of
+every row from the one set of expressions that ``check_min_theorem`` and
+``check_max_lemma`` evaluate at a single point.  The sweep takes its
+duality gap and worst margins as reductions over those columns, and
+builds functions and reports only where they are read.  These rows take
+the scalar path instead:
+
+* a row that the batch search leaves open (a grid that is not a multiple
+  of 256 points, a grid that must double, a bracket without a sign
+  change, or anything that would raise) takes the scalar search and
+  check;
+* a row whose chain would raise (a constant exponent, ``|f(z0)|`` at the
+  zero threshold, moduli too close for the bounds, a bad tolerance) takes
+  the scalar check at the batch's point.
+
+Those run in trial order, min before max, so an error surfaces at its own
+trial.  Reports are built for failed trials and for ``run_trial``.  Rows
+that the batch settles may differ from the scalar chain in the last bits,
+since numpy's complex arithmetic may fuse multiply-adds.  A row's result
+does not depend on its batch, and ``run_trial(seed, k)`` runs the same
+code on one index, so it replays trial ``k`` of a sweep exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .extremum import DEFAULT_GRID, _search_exp_batch, find_max_on_disk, find_min_on_disk
-from .functions import ExpSeriesFunction, Reciprocal
-from .lemma import DEFAULT_TOL, LINK_NAMES, LemmaReport, check_max_lemma, check_min_theorem
-from .series import PowerSeries
+from .extremum import DEFAULT_GRID, _exp_jets, _search_exp_batch, find_max_on_disk, find_min_on_disk
+from .functions import ZERO_THRESHOLD, ExpSeriesFunction, Reciprocal
+from .lemma import (
+    DEFAULT_TOL,
+    LINK_NAMES,
+    LemmaReport,
+    _degenerate,
+    _links,
+    _report,
+    check_max_lemma,
+    check_min_theorem,
+)
+from .series import CONSTANT_TOL, PowerSeries
 
 #: Trial-generator ranges.
 A0_MODULUS_RANGE = (0.55, 2.0)
@@ -43,8 +70,8 @@ MAX_DEGREE = 16
 COEFF_BUDGET = 2.0
 RADIUS_RANGE = (0.1, 0.9)
 
-#: Circle samples per batch of trials: 1024 trials on the default grid,
-#: 4 MB per ``(trials, grid)`` complex array.
+#: Circle samples per batch search: 512 trials on the default grid, a
+#: minimum and a maximum row each, 4 MB per ``(rows, grid)`` complex array.
 _BATCH_SAMPLES = 1 << 18
 
 
@@ -105,13 +132,15 @@ def run_trial(seed: int, index: int, tol: float = DEFAULT_TOL, grid: int = DEFAU
 
     The outcome is trial ``index`` of ``run_sweep(trials, seed, tol, grid)``, bit for bit.
     """
-    return next(_outcomes(seed, [index], tol, grid))
+    params = draw_trial(seed, index)
+    low, high = _chains([params], tol, grid)
+    return TrialOutcome(params=params, min_report=low.report(0), max_report=high.report(0))
 
 
-def _batched_searches(trials: list[TrialFunction], grid: int) -> tuple[list, list]:
-    """The min disk searches of every trial's f and the max disk searches of its 1/f, as two batches.
+def _columns(trials: list[TrialFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(a0, h, r)`` of the trials, ``h`` the exponents' coefficients of ``z^0 .. z^MAX_DEGREE``.
 
-    An entry is None where the trial needs the scalar search.
+    A row of ``h`` is nan for an exponent past ``MAX_DEGREE``.
     """
     a0 = np.array([p.a0 for p in trials], dtype=np.complex128)
     r = np.array([p.r for p in trials], dtype=np.float64)
@@ -119,26 +148,103 @@ def _batched_searches(trials: list[TrialFunction], grid: int) -> tuple[list, lis
     for row, p in zip(h, trials):
         if p.exponent.order <= MAX_DEGREE:
             row[:] = p.exponent.dense_coefficients(MAX_DEGREE)
-    return _search_exp_batch(a0, h, r, grid, minimize=True), _search_exp_batch(a0, h, r, grid, minimize=False)
+    return a0, h, r
 
 
-def _outcomes(seed: int, indices: list[int], tol: float, grid: int):
-    """Yield the outcome of each trial in ``indices``, in order.
+def _searches(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> tuple[list, list]:
+    """The min disk searches of every trial's f and the max disk searches of its 1/f.
 
-    The disk searches run in batches; a trial the batch leaves open takes
-    the scalar search, and every error surfaces at its own trial.
+    They run as the two halves of one batch, so that one polish loop
+    serves both; a row's arithmetic is its own, so the two stay
+    independent.  An entry is None where the trial needs the scalar search.
     """
-    size = max(1, _BATCH_SAMPLES // max(grid, 1))
-    for start in range(0, len(indices), size):
-        trials = [draw_trial(seed, index) for index in indices[start : start + size]]
-        for params, low, high in zip(trials, *_batched_searches(trials, grid)):
-            f = ExpSeriesFunction(params.a0, params.exponent)
-            g = Reciprocal(f)
-            located_min = low or find_min_on_disk(f, params.r, grid)
-            min_report = check_min_theorem(f, params.n, located_min.z0, tol)
-            located_max = high or find_max_on_disk(g, params.r, grid)
-            max_report = check_max_lemma(g, params.n, located_max.z0, tol)
-            yield TrialOutcome(params=params, min_report=min_report, max_report=max_report)
+    count = len(a0)
+    both = _search_exp_batch(np.tile(a0, 2), np.tile(h, (2, 1)), np.tile(r, 2), grid, np.arange(2 * count) < count)
+    return both[:count], both[count:]
+
+
+def _batched_searches(trials: list[TrialFunction], grid: int) -> tuple[list, list]:
+    """:func:`_searches` of the trials."""
+    return _searches(*_columns(trials), grid)
+
+
+@dataclass
+class _Chain:
+    """One case's chain at every trial of a batch, as the columns ``m``, ``margins`` and ``passed``.
+
+    ``links`` is :func:`lemma._links` over the batch's jets at the points
+    ``z0``, and ``reports`` maps a row that took the scalar search or
+    check to its report, which overrides the row's columns.  ``margins``
+    is ``(links, trials)``, inf where a link is skipped.
+    """
+
+    case: str
+    n: np.ndarray
+    z0: np.ndarray
+    f_z0: np.ndarray
+    links: tuple
+    tol: float
+    reports: dict[int, LemmaReport]
+
+    def __post_init__(self) -> None:
+        m, _, _, _, _, flat, margins, passed = self.links
+        self.m = np.array(m, dtype=np.float64)
+        self.margins = np.array(margins, dtype=np.float64)
+        self.margins[LINK_NAMES.index("schwarz_vs_m"), flat] = np.inf
+        self.passed = np.logical_and.reduce(passed)
+        for row, report in self.reports.items():
+            self.m[row] = report.m
+            self.margins[:, row] = [np.inf if link.margin is None else link.margin for link in report.checks.values()]
+            self.passed[row] = report.passed
+
+    def report(self, row: int) -> LemmaReport:
+        """The row's report: its scalar check's, or one built from its columns."""
+        if row in self.reports:
+            return self.reports[row]
+        *values, margins, passed = self.links
+        links = (*(v[row].item() for v in values), [c[row].item() for c in margins], [c[row].item() for c in passed])
+        z0, f_z0 = complex(self.z0[row]), complex(self.f_z0[row])
+        return _report(self.case, self.n[row].item(), z0, f_z0, links, self.tol)
+
+
+def _chains(trials: list[TrialFunction], tol: float, grid: int) -> tuple[_Chain, _Chain]:
+    """The min chain of every trial's f and the max chain of its 1/f.
+
+    The disk searches run as one batch (:func:`_searches`), and each
+    case's chain as one :func:`lemma._links` over the jets at the located
+    points.  A row that the batch leaves open takes the scalar search and
+    check, and a row whose chain would raise takes the scalar check at the
+    batch's point.  Those run in trial order, min before max, so that an
+    error surfaces at its own trial.
+    """
+    a0, h, r = _columns(trials)
+    n = np.array([p.n for p in trials])
+    # The scalar check raises for a constant exponent and for a bad tolerance.
+    rejected = (np.abs(h).max(axis=1) <= CONSTANT_TOL) | (not 0.0 < tol < math.inf)
+    cases = []
+    for minimize, case, located in zip((True, False), ("min", "max"), _searches(a0, h, r, grid)):
+        settled = np.array([result is not None for result in located])
+        z0 = r * np.exp(1j * np.array([result.theta if result else 0.0 for result in located]))
+        scale = a0 if minimize else 1.0 / a0
+        with np.errstate(all="ignore"):
+            fz0, d1, d2 = _exp_jets(a0, h, z0, minimize)
+            links = _links(fz0, d1, d2, scale, n, z0, tol, case)
+            scalar = ~settled | rejected | (np.abs(fz0) <= ZERO_THRESHOLD) | _degenerate(scale, fz0, case)
+        cases.append((case, settled, z0, fz0, links, scalar))
+    reports: tuple[dict, dict] = ({}, {})
+    for row in np.flatnonzero(cases[0][-1] | cases[1][-1]).tolist():
+        p = trials[row]
+        f = ExpSeriesFunction(p.a0, p.exponent)
+        checks = ((f, find_min_on_disk, check_min_theorem), (Reciprocal(f), find_max_on_disk, check_max_lemma))
+        for (_, settled, z0, _, _, scalar), found, (g, search, check) in zip(cases, reports, checks):
+            if scalar[row]:
+                point = z0[row] if settled[row] else search(g, p.r, grid).z0
+                found[row] = check(g, p.n, point, tol)
+    low, high = (
+        _Chain(case, n, z0, fz0, links, tol, found)
+        for (case, _, z0, fz0, links, _), found in zip(cases, reports)
+    )
+    return low, high
 
 
 @dataclass(frozen=True)
@@ -165,21 +271,22 @@ def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFA
         raise DomainError(f"need at least one trial, got {trials}")
     failed: list[TrialOutcome] = []
     max_gap = 0.0
-    worst = {name: np.inf for name in LINK_NAMES}
-    for outcome in _outcomes(seed, range(trials), tol, grid):
-        max_gap = max(max_gap, outcome.duality_gap)
-        for report in (outcome.min_report, outcome.max_report):
-            for name, link in report.checks.items():
-                if link.margin is not None:
-                    worst[name] = min(worst[name], link.margin)
-        if not outcome.passed:
-            failed.append(outcome)
-    clean = {name: (None if np.isinf(value) else float(value)) for name, value in worst.items()}
+    worst = np.full(len(LINK_NAMES), np.inf)
+    size = max(1, _BATCH_SAMPLES // max(2 * grid, 1))
+    for start in range(0, trials, size):
+        batch = [draw_trial(seed, index) for index in range(start, min(start + size, trials))]
+        low, high = _chains(batch, tol, grid)
+        # fmax and fmin skip a nan, as max and min over the reports did
+        max_gap = np.fmax.reduce(np.abs(low.m - high.m), initial=max_gap)
+        worst = np.fmin(worst, np.fmin.reduce(np.concatenate((low.margins, high.margins), axis=1), axis=1))
+        for row in np.flatnonzero(~(low.passed & high.passed)).tolist():
+            failed.append(TrialOutcome(params=batch[row], min_report=low.report(row), max_report=high.report(row)))
+    clean = {name: (None if np.isinf(value) else float(value)) for name, value in zip(LINK_NAMES, worst.tolist())}
     return SweepSummary(
         trials=trials,
         seed=seed,
         tolerance=tol,
-        max_duality_gap=max_gap,
+        max_duality_gap=float(max_gap),
         worst_margins=clean,
         failed=failed,
     )

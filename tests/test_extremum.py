@@ -11,8 +11,10 @@ from diskextrema import (
     PowerSeries,
     Reciprocal,
     SeriesFunction,
+    ZeroDenominator,
     ZeroInDisk,
     ZeroOnCircle,
+    check_max_lemma,
     draw_trial,
     find_max_on_disk,
     find_min_on_disk,
@@ -363,15 +365,20 @@ class TestCertificate:
         assert res.value == pytest.approx(0.2 * 0.4, abs=1e-12)
 
     def test_unbounded_curvature_keeps_the_grid(self):
-        # (z - 0.5 - 1e-9)(z + 0.4) has no dominant term on |z| = 0.5 and a
-        # zero closer to it than 2^20 samples can floor, and 1/f has no
-        # bound on (|f|^2)'': the slack is infinite, nothing doubles, and
+        # (z - 0.5 - 1e-9)(z - 2) has no dominant term on |z| = 0.5 and a
+        # zero closer to it than 2^20 samples can floor, so no grid counts
+        # its zeros or bounds log|f|''.  Told that it has none in the disk,
+        # which holds, 1/f gets an infinite slack: nothing doubles, and
         # every grid-local maximum is polished
+        class CountsNoZeros(SeriesFunction):
+            def count_zeros(self, r: float, values) -> int:
+                return 0
+
         c = 0.5 + 1e-9
-        inner = SeriesFunction(PowerSeries(-0.4 * c, 1, [0.4 - c, 1.0]))
+        inner = CountsNoZeros(PowerSeries(2.0 * c, 1, [-2.0 - c, 1.0]))
         res = find_max_on_disk(Reciprocal(inner), 0.5, grid=64)
         assert res.grid_size == 64 and res.certified_gap == np.inf
-        assert res.value == pytest.approx(1.0 / (1e-9 * 0.9), rel=1e-6)
+        assert res.value == pytest.approx(1.0 / (1e-9 * 1.5), rel=1e-6)
 
 
 class TestRotatedCopies:
@@ -495,6 +502,25 @@ class TestReciprocalPole:
     def test_raises_zero_on_circle_naming_the_pole(self, search):
         with pytest.raises(ZeroOnCircle, match=r"^1/f has a pole at theta = 0\.0 on \|z\| = 0\.5$"):
             search(self.f, 0.5)
+
+    def test_a_pole_inside_fails_the_maximum(self):
+        # 1/(1 - 3z) is unbounded near its pole z = 1/3; the search counts
+        # the zeros of 1 - 3z from its own samples of 1/f
+        g = Reciprocal(SeriesFunction(PowerSeries(1.0, 1, [-3.0])))
+        with pytest.raises(ZeroInDisk, match=r"^f has 1 pole\(s\) in \|z\| < 0\.5 by the argument principle$"):
+            find_max_on_disk(g, 0.5)
+        # the minimum of |1/f| is 1 / max |f|, on the circle whatever the poles
+        assert find_min_on_disk(g, 0.5).value == pytest.approx(0.4, rel=1e-15)
+        assert find_max_on_disk(Reciprocal(SeriesFunction(PowerSeries(1.0, 1, [-1.9]))), 0.5).value == (
+            pytest.approx(20.0, rel=1e-14)
+        )
+
+    def test_a_pole_at_the_point_is_a_package_error(self):
+        with pytest.raises(ZeroDenominator, match=r"^1/f has a pole at z = \(0\.5\+0j\): f vanishes there$"):
+            check_max_lemma(self.f, 1, 0.5)
+        for evaluate in (self.f.value, self.f.jet):
+            with pytest.raises(ZeroDenominator, match="^1/f has a pole at z = "):
+                evaluate(0.5)
 
     def test_certified_gap_is_a_python_float(self):
         # the inner series' log-modulus bound, which 1/f borrows, is a numpy float here

@@ -13,6 +13,7 @@ from diskextrema import (
     InteriorBelowBoundary,
     PowerSeries,
     Reciprocal,
+    ZeroInDisk,
     check_max_lemma,
     check_min_theorem,
     draw_trial,
@@ -21,20 +22,26 @@ from diskextrema import (
     run_sweep,
     run_trial,
 )
-from diskextrema import extremum, sweep
+from diskextrema import extremum, lemma, sweep
 from diskextrema.extremum import _search_exp_batch
 from diskextrema.lemma import LINK_NAMES
+from diskextrema.sweep import MAX_DEGREE
+
+
+def scalar_reports(p, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
+    """One trial's min and max reports, from one scalar disk search and chain check each."""
+    f = ExpSeriesFunction(p.a0, p.exponent)
+    g = Reciprocal(f)
+    low = check_min_theorem(f, p.n, find_min_on_disk(f, p.r, grid).z0, tol)
+    high = check_max_lemma(g, p.n, find_max_on_disk(g, p.r, grid).z0, tol)
+    return low, high
 
 
 def scalar_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
     """The sweep as a loop of one scalar min and max disk search per trial."""
     failed, gap, worst = [], 0.0, {name: math.inf for name in LINK_NAMES}
     for index in range(trials):
-        p = draw_trial(seed, index)
-        f = ExpSeriesFunction(p.a0, p.exponent)
-        g = Reciprocal(f)
-        low = check_min_theorem(f, p.n, find_min_on_disk(f, p.r, grid).z0, tol)
-        high = check_max_lemma(g, p.n, find_max_on_disk(g, p.r, grid).z0, tol)
+        low, high = scalar_reports(draw_trial(seed, index), tol, grid)
         gap = max(gap, abs(low.m - high.m))
         for report in (low, high):
             for name, link in report.checks.items():
@@ -139,7 +146,7 @@ class TestBatchedSearches:
                 assert got is not None, p.index  # the default sweep leaves no row to the scalar search
                 assert abs((got.theta - want.theta + math.pi) % (2 * math.pi) - math.pi) <= 2e-13
                 assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
-                assert got.grid_size == want.grid_size
+                assert want.grid_size == DEFAULT_GRID  # the batch's grid, which it never refines
                 assert got.certified_gap == pytest.approx(want.certified_gap, rel=1e-14, abs=0.0)
                 steps[0] += got.refine_iterations
                 steps[1] += want.refine_iterations
@@ -158,7 +165,7 @@ class TestBatchedSearches:
         fine = _search_exp_batch(a0, h, r, 512, minimize)
         f = ExpSeriesFunction(1.0, PowerSeries(0.0, 60, [0.5]))
         scalar = find_min_on_disk(f, 0.95) if minimize else find_max_on_disk(Reciprocal(f), 0.95)
-        assert fine[0].grid_size == scalar.grid_size == 512
+        assert fine[0] is not None and scalar.grid_size == 512
         assert fine[1] is None
 
     @pytest.mark.parametrize("grid", [16, 100])
@@ -184,6 +191,67 @@ class TestBatchedSearches:
             replay = run_trial(3, outcome.params.index, tol=1e-18)
             assert outcome.min_report.to_dict() == replay.min_report.to_dict()
             assert outcome.max_report.to_dict() == replay.max_report.to_dict()
+
+
+#: Ulps of a chain's scale by which two evaluations of it at one point may
+#: differ.  Horner's rule over the ``MAX_DEGREE + 1`` coefficients of h rounds
+#: h, h' and h'' within ``2 MAX_DEGREE`` units of their absolute moments
+#: (Higham, Accuracy and Stability of Numerical Algorithms, ch. 5), which
+#: ``K = sum k^2 |h_k| r^k`` bounds after the scaling by z; exp, the jet
+#: products and the link formulas add at most 16 more roundings.  So each
+#: evaluation is within ``(2 MAX_DEGREE + 16) u`` of ``max(1, K, |schwarz|)``,
+#: and two evaluations are within twice that.
+CHAIN_ULPS = 2 * (2 * MAX_DEGREE + 16)
+
+
+def chain_scale(p, report) -> float:
+    k = np.arange(p.n, p.exponent.order + 1)
+    moment = float(np.sum(k * k * np.abs(p.exponent.coeffs) * p.r**k))
+    return max(1.0, moment, abs(report.schwarz or 0.0))
+
+
+class TestAgainstTheScalarOracle:
+    """The array chain of the default sweep against the per-trial scalar loop."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_sweep_matches_the_scalar_sweep(self, seed):
+        trials = 200
+        summary = run_sweep(trials, seed)
+        gap, worst, failed = scalar_sweep(trials, seed)
+        assert summary.failed == failed == []
+        assert summary.max_duality_gap <= 1e-10 and gap <= 1e-10
+        assert abs(summary.max_duality_gap - gap) <= 1e-10
+        # At tol = 1e-18 a trial fails on its im residual, a few ulps of m at
+        # a polished root, unless that residual rounds below 1e-18; so a
+        # trial may pass in either loop only where the residual is rounding.
+        failing = {o.params.index for o in run_sweep(trials, seed, tol=1e-18).failed}
+        failing &= {entry[0] for entry in scalar_sweep(trials, seed, tol=1e-18)[2]}
+        passing = set(range(trials)) - failing
+        # A worst margin can differ by the rounding of the two chains, at the
+        # sweep's point, and by how far the scalar search's point moves the
+        # scalar chain; run_trial gives the sweep's report of each trial.
+        bound = dict.fromkeys(LINK_NAMES, 0.0)
+        for index in range(trials):
+            p = draw_trial(seed, index)
+            f = ExpSeriesFunction(p.a0, p.exponent)
+            outcome, oracle = run_trial(seed, index), scalar_reports(p)
+            cases = (
+                (outcome.min_report, oracle[0], check_min_theorem, f),
+                (outcome.max_report, oracle[1], check_max_lemma, Reciprocal(f)),
+            )
+            for got, want, check, g in cases:
+                here = check(g, p.n, got.z0)
+                rounding = CHAIN_ULPS * np.spacing(chain_scale(p, here))
+                for name in LINK_NAMES:
+                    a, b, c = (report.checks[name].margin for report in (got, here, want))
+                    assert (a is None) == (b is None) == (c is None), (index, name)
+                    if a is not None:
+                        assert abs(a - b) <= rounding, (index, name)
+                        bound[name] = max(bound[name], rounding + abs(b - c))
+                if index in passing:
+                    assert max(got.im_residual, want.im_residual) <= rounding, index
+        for name, margin in summary.worst_margins.items():
+            assert abs(margin - worst[name]) <= bound[name], name
 
 
 class TestTrialErrors:
@@ -218,6 +286,18 @@ class TestTrialErrors:
         self.patch_draws(monkeypatch, {5: lambda p: {"r": 1.5}})
         with pytest.raises(DomainError, match=r"^circle radius must lie in \(0, 1\), got 1.5$"):
             run_sweep(10, 42)
+
+    def test_a_settled_row_whose_chain_raises_takes_the_scalar_check(self, monkeypatch):
+        # with a threshold of 10 every settled row's moduli are too close for
+        # the bounds, so each row takes the scalar check at the batch's point,
+        # which raises at trial 0's minimum, and no scalar search runs
+        monkeypatch.setattr(lemma, "ZERO_THRESHOLD", 10.0)
+        calls = []
+        for name in ("find_min_on_disk", "find_max_on_disk"):
+            monkeypatch.setattr(sweep, name, lambda *args: calls.append(args))
+        with pytest.raises(ZeroInDisk, match="; f vanishes at the claimed minimum$"):
+            run_sweep(10, 42)
+        assert calls == []
 
     def test_an_edge_error_in_the_batch_surfaces_at_its_trial(self, monkeypatch):
         # a negative tolerance fails every result's origin check: the batch
