@@ -417,13 +417,13 @@ class _RowExtremum(NamedTuple):
     certified_gap: float
 
 
-def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize) -> list:
+def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize: np.ndarray) -> list:
     """:func:`find_min_on_disk` of ``f = a0 exp(h)``, or :func:`find_max_on_disk` of ``1/f``, for each row.
 
     ``a0`` and ``r`` are ``(T,)`` arrays and ``h`` is ``(T, W)``, the
     exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``;
-    ``minimize`` is one bool or one per row, so that minima and maxima can
-    share the polish loop.  A row's result is a :class:`_RowExtremum` on
+    ``minimize`` is a ``(T,)`` bool array, one case per row, so that minima
+    and maxima can share the polish loop.  A row's result is a :class:`_RowExtremum` on
     ``grid``.  A row that the scalar search would refine to a finer grid,
     walk, or raise for is None, and so is every row when ``grid`` is not a
     multiple of ``BOUNDARY_RING``; the caller runs the scalar search for
@@ -432,18 +432,16 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
     count = len(a0)
     if grid < BOUNDARY_RING or grid % BOUNDARY_RING:
         return [None] * count
-    minimize = np.broadcast_to(minimize, count)
     sign = np.where(minimize, 1.0, -1.0)
     step = TAU / grid
     k = np.arange(h.shape[1])
     # Rows out of range come back None, for the scalar search to raise.
     with np.errstate(all="ignore"):
         power = r[:, None] ** k
-        # In place, and freed before the polish: the rows of minima and maxima
-        # share one batch, so its arrays are twice the size of one search's.
-        spectrum = np.zeros((count, grid), dtype=np.complex128)
-        spectrum[:, : len(k)] = h * power
-        np.fft.ifft(spectrum, axis=1, out=spectrum)
+        # The transform pads the coefficients itself, and the samples are freed
+        # before the polish: the rows of minima and maxima share one batch, so
+        # its arrays are twice the size of one search's.
+        spectrum = np.fft.ifft(h * power, n=grid, axis=1)
         spectrum *= grid
         # |a0 exp(h)| = |a0| e^{Re h}, and |1/f| is its reciprocal.
         moduli = np.exp(spectrum.real)

@@ -515,6 +515,16 @@ class TestReciprocalPole:
             pytest.approx(20.0, rel=1e-14)
         )
 
+    def test_a_pole_too_close_to_the_circle_to_count_fails_the_maximum(self):
+        # (z - c)(z - 2) with c = 0.5 + 1e-9 has no zero inside, but no
+        # Rouche certificate and no grid within the cap that floors |f|, so
+        # neither its poles in 1/f nor its own zeros can be counted
+        c = 0.5 + 1e-9
+        inner = SeriesFunction(PowerSeries(2.0 * c, 1, [-2.0 - c, 1.0]))
+        for search, f in ((find_max_on_disk, Reciprocal(inner)), (find_min_on_disk, inner)):
+            with pytest.raises(DomainError, match=r"^cannot count zeros in \|z\| < 0\.5 with 1048576 samples"):
+                search(f, 0.5)
+
     def test_a_pole_at_the_point_is_a_package_error(self):
         with pytest.raises(ZeroDenominator, match=r"^1/f has a pole at z = \(0\.5\+0j\): f vanishes there$"):
             check_max_lemma(self.f, 1, 0.5)

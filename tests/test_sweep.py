@@ -160,9 +160,9 @@ class TestBatchedSearches:
         h[0, 60] = 0.5
         h[2, 3], h[2, 5] = 0.3, 0.2j
         a0, r = np.array([1.0, 0.8, 1.2 + 0.3j]), np.array([0.95, 0.5, 0.7])
-        coarse = _search_exp_batch(a0, h, r, 256, minimize)
+        coarse = _search_exp_batch(a0, h, r, 256, np.full(3, minimize))
         assert coarse[0] is None and coarse[1] is None and coarse[2] is not None
-        fine = _search_exp_batch(a0, h, r, 512, minimize)
+        fine = _search_exp_batch(a0, h, r, 512, np.full(3, minimize))
         f = ExpSeriesFunction(1.0, PowerSeries(0.0, 60, [0.5]))
         scalar = find_min_on_disk(f, 0.95) if minimize else find_max_on_disk(Reciprocal(f), 0.95)
         assert fine[0] is not None and scalar.grid_size == 512
