@@ -9,7 +9,14 @@ falsifies the implementation, not the mathematics.
 
 All randomness is derived from ``(seed, trial_index)``; no global
 generator state is touched, so trials are reproducible individually and
-the sweep output is byte-identical across runs.
+the sweep output is byte-identical across runs.  A trial is what a numpy
+``Generator`` on ``PCG64(SeedSequence([seed, index]))`` draws, but the
+sweep builds none: :func:`_draw_batch` writes out ``SeedSequence``'s hash,
+the ``PCG64`` stream, the bounded integers and the uniform doubles as
+uint64 and float64 column arithmetic over a whole batch.  Its draws equal
+numpy 2.4.6's on x86-64, bit for bit, and they stay as they are should a
+later numpy change its ``Generator`` streams, which NEP 19 does not
+promise to keep stable.
 
 The disk searches run in batches of up to 512 trials on the default
 grid: the minima of all f and the maxima of all ``1/f`` as the two halves
@@ -22,8 +29,8 @@ from Horner's rule over the exponents' coefficients (the formulas of
 every row from the one set of expressions that ``check_min_theorem`` and
 ``check_max_lemma`` evaluate at a single point.  The sweep takes its
 duality gap and worst margins as reductions over those columns, and
-builds functions and reports only where they are read.  These rows take
-the scalar path instead:
+builds trials, functions and reports only where they are read.  These
+rows take the scalar path instead:
 
 * a row that the batch search leaves open (a grid that is not a multiple
   of 256 points, a grid that must double, a bracket without a sign
@@ -74,6 +81,10 @@ RADIUS_RANGE = (0.1, 0.9)
 #: minimum and a maximum row each, 4 MB per ``(rows, grid)`` complex array.
 _BATCH_SAMPLES = 1 << 18
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+#: ``PCG64``'s LCG multiplier ``M``.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 @dataclass(frozen=True)
 class TrialFunction:
@@ -103,28 +114,7 @@ class TrialOutcome:
 
 def draw_trial(seed: int, index: int) -> TrialFunction:
     """Deterministically draw one trial function from ``(seed, index)``."""
-    rng = np.random.default_rng([seed, index])
-    mod_a0 = rng.uniform(*A0_MODULUS_RANGE)
-    arg_a0 = rng.uniform(0.0, 2.0 * np.pi)
-    n = int(rng.integers(CLASS_INDEX_RANGE[0], CLASS_INDEX_RANGE[1] + 1))
-    degree = int(rng.integers(n, MAX_DEGREE + 1))
-    count = degree - n + 1
-    raw = rng.uniform(0.0, 1.0, count) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
-    total = rng.uniform(0.1 * COEFF_BUDGET, COEFF_BUDGET)
-    mass = float(np.sum(np.abs(raw)))
-    if mass < 1e-12:
-        raw = np.zeros(count, dtype=np.complex128)
-        raw[0] = 1.0
-        mass = 1.0
-    coeffs = raw * (total / mass)
-    r = rng.uniform(*RADIUS_RANGE)
-    return TrialFunction(
-        index=index,
-        a0=complex(mod_a0 * np.exp(1j * arg_a0)),
-        n=n,
-        r=float(r),
-        exponent=PowerSeries(0.0, n, coeffs),
-    )
+    return _trial(_draw_batch(seed, [index]), 0)
 
 
 def run_trial(seed: int, index: int, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID) -> TrialOutcome:
@@ -132,23 +122,170 @@ def run_trial(seed: int, index: int, tol: float = DEFAULT_TOL, grid: int = DEFAU
 
     The outcome is trial ``index`` of ``run_sweep(trials, seed, tol, grid)``, bit for bit.
     """
-    params = draw_trial(seed, index)
-    low, high = _chains([params], tol, grid)
-    return TrialOutcome(params=params, min_report=low.report(0), max_report=high.report(0))
+    draws = _draw_batch(seed, [index])
+    low, high = _chains(draws, tol, grid)
+    return TrialOutcome(params=_trial(draws, 0), min_report=low.report(0), max_report=high.report(0))
 
 
-def _columns(trials: list[TrialFunction]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(a0, h, r)`` of the trials, ``h`` the exponents' coefficients of ``z^0 .. z^MAX_DEGREE``.
+def _trial(draws: tuple, row: int) -> TrialFunction:
+    """Row ``row`` of :func:`_draw_batch`'s columns as a trial."""
+    index, a0, n, degree, r, h = (column[row] for column in draws)
+    return TrialFunction(int(index), complex(a0), int(n), float(r), PowerSeries(0.0, n, h[n : degree + 1]))
 
-    A row of ``h`` is nan for an exponent past ``MAX_DEGREE``.
+
+def _draw_batch(seed: int, indices) -> tuple:
+    """The trials ``(seed, index)``, ``index`` in ``indices``, as the columns ``(index, a0, n, degree, r, h)``.
+
+    ``h`` holds each exponent's coefficients of ``z^0 .. z^MAX_DEGREE``.
+    The 32-bit words of ``[seed, index]`` go through ``SeedSequence``'s
+    hash into a ``PCG64`` seed, and :func:`_draw` takes the draws from the
+    seeded stream, as numpy does.
     """
-    a0 = np.array([p.a0 for p in trials], dtype=np.complex128)
-    r = np.array([p.r for p in trials], dtype=np.float64)
-    h = np.full((len(trials), MAX_DEGREE + 1), np.nan, dtype=np.complex128)
-    for row, p in zip(h, trials):
-        if p.exponent.order <= MAX_DEGREE:
-            row[:] = p.exponent.dense_coefficients(MAX_DEGREE)
-    return a0, h, r
+    import operator  # already loaded by the interpreter; a seed may be any integer type
+
+    seed = operator.index(seed)
+    if seed < 0 or min(indices) < 0:
+        raise DomainError(f"seed and trial indices must be non-negative, got {seed} and {min(indices)}")
+    index = np.asarray(indices, dtype=np.uint64)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    low, high = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
+    pool = np.empty((4, len(index)), dtype=np.uint32)
+    # an index takes one or two words, and SeedSequence hashes what it is given
+    for wide, rows in enumerate((high == 0, high != 0)):
+        if rows.any():
+            entropy = np.empty((len(words) + 1 + wide, np.count_nonzero(rows)), dtype=np.uint32)
+            entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+            entropy[len(words) :] = (low[rows], high[rows])[: 1 + wide]
+            pool[:, rows] = _seed_pool(entropy)
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(0x8B51F9DD, 0x58F38DED, 8)).astype(np.uint64)
+    seed_hi, seed_lo, init_hi, init_lo = state[0::2] | state[1::2] << 32
+    inc = (init_hi << 1 | init_lo >> 63, init_lo << 1 | 1)
+    start = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), (_PCG_MULT >> 64, _PCG_MULT & _MASK64)), inc)
+    return (index, *_draw(start, inc))
+
+
+def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
+    """``SeedSequence``'s first ``count + 1`` hash constants from ``const``, each ``mult`` times the last."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix of the rows of uint32 ``value``, row ``i`` with constants ``const[i:i + 2]``."""
+    value = (value ^ const[:-1, None]) * const[1:, None]
+    return value ^ value >> 16
+
+
+def _seed_pool(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s ``(4, T)`` pool of the ``(L, T)`` uint32 entropy words."""
+    const = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
+    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:4]
+    pool, used = _hashmix(pool, const[:5]), 4
+    # each pool word is mixed into the others, then each word past the pool into all four
+    for src in range(max(len(entropy), 4)):
+        dst = [k for k in range(4) if k != src]
+        hashed = _hashmix(pool[src] if src < 4 else entropy[src], const[used : used + len(dst) + 1])
+        used += len(dst)
+        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
+    return pool
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """The low 128 bits of ``a * b``, each a ``(high, low)`` pair of uint64 words."""
+    (ah, al), (bh, bl) = a, b
+    a1, a0, b1, b0 = al >> 32, al & _MASK32, bl >> 32, bl & _MASK32
+    carry = a1 * b0 + (a0 * b0 >> 32)
+    middle = a0 * b1 + (carry & _MASK32)
+    return a1 * b1 + (carry >> 32) + (middle >> 32) + al * bh + ah * bl, al * bl
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    """``a + b`` modulo ``2^128``, each a ``(high, low)`` pair of uint64 words."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _stream(state: tuple, inc: tuple, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit outputs of each row's ``PCG64`` at ``(state, inc)``, as ``(T, count)``.
+
+    Output ``k`` is the XSL-RR output of the LCG state ``M^(k+1) state +
+    (1 + M + ... + M^k) inc``, one step of which is ``state * M + inc``.
+    """
+    jumps, power, total = bytearray(), 1, 0
+    for _ in range(count):
+        power, total = power * _PCG_MULT & _MASK128, (total + power) & _MASK128
+        jumps += power.to_bytes(16, "little") + total.to_bytes(16, "little")
+    (power_lo, total_lo), (power_hi, total_hi) = np.frombuffer(jumps, "<u8").astype(np.uint64).reshape(count, 2, 2).T
+    state_hi, state_lo, inc_hi, inc_lo = (half[:, None] for half in state + inc)
+    high, low = _add128(
+        _mul128((state_hi, state_lo), (power_hi, power_lo)), _mul128((inc_hi, inc_lo), (total_hi, total_lo))
+    )
+    word, turn = high ^ low, high >> 58
+    return word >> turn | word << (64 - turn & 63)
+
+
+def _below(words: np.ndarray, half: np.ndarray, bound) -> tuple:
+    """numpy's 32-bit Lemire draw in ``[0, bound)`` for each row: the draw and the next ``half``.
+
+    It takes the 32-bit halves of ``words[:, 2:]``, low half first, from
+    ``half`` on, and rejects as ``Generator.integers`` does.
+    """
+    signed, rows = words.view(np.int64), np.arange(len(words))
+    while True:
+        scaled = (signed[rows, 2 + half // 2] >> (half & 1) * 32 & _MASK32) * bound
+        redo = (scaled & _MASK32) < (1 << 32) % bound
+        if not redo.any():
+            return scaled >> 32, half + 1
+        half = half + redo
+
+
+def _draw(state: tuple, inc: tuple) -> tuple:
+    """``(a0, n, degree, r, h)`` of each row, as a numpy ``Generator`` draws a trial from ``PCG64`` at ``(state, inc)``.
+
+    In stream order: ``|a0|`` and ``arg a0`` take a double each, ``n`` and
+    the degree a 32-bit bounded integer each (the two halves of one word,
+    unless one is rejected), then the coefficients' moduli and phases,
+    their total and ``r`` take a double each.  A double is
+    ``(word >> 11) 2^-53``, and a uniform draw is ``low + (high - low) u``.
+    """
+
+    def uniform(bounds, u):
+        return bounds[0] + (bounds[1] - bounds[0]) * u
+
+    words = _stream(state, inc, 5 + 2 * MAX_DEGREE)
+    low, high = CLASS_INDEX_RANGE
+    first, half = _below(words, np.zeros(len(words), dtype=np.int64), high - low + 1)
+    n = low + first
+    extra, half = _below(words, half, MAX_DEGREE + 1 - n)
+    count, start = extra + 1, 2 + (half + 1) // 2
+    if start.max() > 3:  # a rejected integer draw moves the doubles on
+        words = _stream(state, inc, int(start.max()) + 2 * MAX_DEGREE + 2)
+    u = (words >> 11) * (1.0 / 9007199254740992.0)
+    rows, slot = np.arange(len(u))[:, None], start[:, None] + np.arange(MAX_DEGREE)
+    raw = uniform((0.0, 1.0), u[rows, slot]) * np.exp(1j * uniform((0.0, 2.0 * np.pi), u[rows, slot + count[:, None]]))
+    tail = u[rows, (start + 2 * count)[:, None] + [0, 1]]
+    total, r = uniform((0.1 * COEFF_BUDGET, COEFF_BUDGET), tail[:, 0]), uniform(RADIUS_RANGE, tail[:, 1])
+    # np.sum's pairwise grouping depends on the length, so the rows of each count are summed together
+    order = np.argsort(count, kind="stable")
+    moduli, summed = np.abs(raw)[order], np.empty(len(u))
+    edges = np.searchsorted(count[order], np.arange(1, MAX_DEGREE + 2)).tolist()
+    for width, (begin, end) in enumerate(zip(edges, edges[1:]), 1):
+        np.add.reduce(moduli[begin:end, :width], axis=1, out=summed[begin:end])
+    mass = np.empty_like(summed)
+    mass[order] = summed
+    flat = mass < 1e-12
+    raw[flat], mass[flat] = 0.0, 1.0
+    raw[flat, 0] = 1.0
+    coeffs = raw * (total / mass)[:, None]
+    h = np.zeros((len(u), MAX_DEGREE + 1), dtype=np.complex128)
+    row, slot = np.nonzero(np.arange(MAX_DEGREE) < count[:, None])
+    h[row, n[row] + slot] = coeffs[row, slot]
+    a0 = uniform(A0_MODULUS_RANGE, u[:, 0]) * np.exp(1j * uniform((0.0, 2.0 * np.pi), u[:, 1]))
+    return a0, n, n + extra, r, h
 
 
 def _searches(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> tuple[list, list]:
@@ -161,11 +298,6 @@ def _searches(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> tuple[
     count = len(a0)
     both = _search_exp_batch(np.tile(a0, 2), np.tile(h, (2, 1)), np.tile(r, 2), grid, np.arange(2 * count) < count)
     return both[:count], both[count:]
-
-
-def _batched_searches(trials: list[TrialFunction], grid: int) -> tuple[list, list]:
-    """:func:`_searches` of the trials."""
-    return _searches(*_columns(trials), grid)
 
 
 @dataclass
@@ -207,8 +339,8 @@ class _Chain:
         return _report(self.case, self.n[row].item(), z0, f_z0, links, self.tol)
 
 
-def _chains(trials: list[TrialFunction], tol: float, grid: int) -> tuple[_Chain, _Chain]:
-    """The min chain of every trial's f and the max chain of its 1/f.
+def _chains(draws: tuple, tol: float, grid: int) -> tuple[_Chain, _Chain]:
+    """The min chain of every trial's f and the max chain of its 1/f, for :func:`_draw_batch`'s columns.
 
     The disk searches run as one batch (:func:`_searches`), and each
     case's chain as one :func:`lemma._links` over the jets at the located
@@ -217,8 +349,7 @@ def _chains(trials: list[TrialFunction], tol: float, grid: int) -> tuple[_Chain,
     batch's point.  Those run in trial order, min before max, so that an
     error surfaces at its own trial.
     """
-    a0, h, r = _columns(trials)
-    n = np.array([p.n for p in trials])
+    _, a0, n, _, r, h = draws
     # The scalar check raises for a constant exponent and for a bad tolerance.
     rejected = (np.abs(h).max(axis=1) <= CONSTANT_TOL) | (not 0.0 < tol < math.inf)
     cases = []
@@ -233,7 +364,7 @@ def _chains(trials: list[TrialFunction], tol: float, grid: int) -> tuple[_Chain,
         cases.append((case, settled, z0, fz0, links, scalar))
     reports: tuple[dict, dict] = ({}, {})
     for row in np.flatnonzero(cases[0][-1] | cases[1][-1]).tolist():
-        p = trials[row]
+        p = _trial(draws, row)
         f = ExpSeriesFunction(p.a0, p.exponent)
         checks = ((f, find_min_on_disk, check_min_theorem), (Reciprocal(f), find_max_on_disk, check_max_lemma))
         for (_, settled, z0, _, _, scalar), found, (g, search, check) in zip(cases, reports, checks):
@@ -274,13 +405,13 @@ def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFA
     worst = np.full(len(LINK_NAMES), np.inf)
     size = max(1, _BATCH_SAMPLES // max(2 * grid, 1))
     for start in range(0, trials, size):
-        batch = [draw_trial(seed, index) for index in range(start, min(start + size, trials))]
-        low, high = _chains(batch, tol, grid)
+        draws = _draw_batch(seed, range(start, min(start + size, trials)))
+        low, high = _chains(draws, tol, grid)
         # fmax and fmin skip a nan, as max and min over the reports did
         max_gap = np.fmax.reduce(np.abs(low.m - high.m), initial=max_gap)
         worst = np.fmin(worst, np.fmin.reduce(np.concatenate((low.margins, high.margins), axis=1), axis=1))
         for row in np.flatnonzero(~(low.passed & high.passed)).tolist():
-            failed.append(TrialOutcome(params=batch[row], min_report=low.report(row), max_report=high.report(row)))
+            failed.append(TrialOutcome(params=_trial(draws, row), min_report=low.report(row), max_report=high.report(row)))
     clean = {name: (None if np.isinf(value) else float(value)) for name, value in zip(LINK_NAMES, worst.tolist())}
     return SweepSummary(
         trials=trials,

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 
 import diskextrema
@@ -21,3 +24,18 @@ def test_all_lists_the_public_names_and_no_module():
     assert not any(
         isinstance(getattr(diskextrema, name), types.ModuleType) for name in diskextrema.__all__
     )
+
+
+def test_import_and_sweep_load_neither_numpy_random_nor_scipy():
+    # every interpreter pays for what the package imports, and numpy.random
+    # alone takes about 19 ms; the sweep's draws need none of it
+    code = (
+        "import sys, diskextrema\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "print(loaded()); diskextrema.run_sweep(2, 1); print(loaded())"
+    )
+    root = os.path.dirname(os.path.dirname(diskextrema.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines() == ["[]", "[]"]

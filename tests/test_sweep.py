@@ -1,5 +1,7 @@
-import dataclasses
+import hashlib
+import io
 import math
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -22,10 +24,10 @@ from diskextrema import (
     run_sweep,
     run_trial,
 )
-from diskextrema import extremum, lemma, sweep
+from diskextrema import cli, extremum, lemma, sweep
 from diskextrema.extremum import _search_exp_batch
 from diskextrema.lemma import LINK_NAMES
-from diskextrema.sweep import MAX_DEGREE
+from diskextrema.sweep import A0_MODULUS_RANGE, CLASS_INDEX_RANGE, COEFF_BUDGET, MAX_DEGREE, RADIUS_RANGE
 
 
 def scalar_reports(p, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
@@ -50,6 +52,12 @@ def scalar_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = D
         if not (low.passed and high.passed):
             failed.append((index, low.to_dict(), high.to_dict()))
     return gap, {k: None if math.isinf(v) else v for k, v in worst.items()}, failed
+
+
+def batched_searches(seed: int, count: int, grid: int = DEFAULT_GRID):
+    """The batch's min and max disk searches of trials ``0 .. count - 1`` of ``seed``; None where a row needs the scalar search."""
+    _, a0, _, _, r, h = sweep._draw_batch(seed, range(count))
+    return sweep._searches(a0, h, r, grid)
 
 
 def summary_fields(summary):
@@ -79,6 +87,165 @@ class TestDrawTrial:
             assert p.exponent.n == p.n
             assert p.exponent.order <= 16
             assert np.sum(np.abs(p.exponent.coeffs)) <= 2.0 + 1e-12
+
+
+def reference_draw(rng: np.random.Generator):
+    """``(a0, n, r, coefficients)`` of one trial, drawn as ``draw_trial`` drew them with numpy's Generator."""
+    mod_a0 = rng.uniform(*A0_MODULUS_RANGE)
+    arg_a0 = rng.uniform(0.0, 2.0 * np.pi)
+    n = int(rng.integers(CLASS_INDEX_RANGE[0], CLASS_INDEX_RANGE[1] + 1))
+    degree = int(rng.integers(n, MAX_DEGREE + 1))
+    count = degree - n + 1
+    raw = rng.uniform(0.0, 1.0, count) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+    total = rng.uniform(0.1 * COEFF_BUDGET, COEFF_BUDGET)
+    mass = float(np.sum(np.abs(raw)))
+    if mass < 1e-12:
+        raw = np.zeros(count, dtype=np.complex128)
+        raw[0] = 1.0
+        mass = 1.0
+    coeffs = raw * (total / mass)
+    r = rng.uniform(*RADIUS_RANGE)
+    return complex(mod_a0 * np.exp(1j * arg_a0)), n, float(r), coeffs
+
+
+def assert_draws_match(columns, references):
+    """Every column of ``sweep._draw``/``_draw_batch`` rows equals its reference draw, bit for bit."""
+    a0, n, degree, r, h = columns[-5:]
+    want_h = np.zeros_like(h)
+    for row, (_, want_n, _, coeffs) in enumerate(references):
+        want_h[row, want_n : want_n + len(coeffs)] = coeffs
+    want_a0, want_n, want_r, coeffs = zip(*references)
+    assert a0.tobytes() == np.array(want_a0).tobytes()
+    assert n.tolist() == list(want_n)
+    assert degree.tolist() == [k + len(c) - 1 for k, c in zip(want_n, coeffs)]
+    assert r.tobytes() == np.array(want_r).tobytes()
+    assert h.tobytes() == want_h.tobytes()
+
+
+PCG_MULT, MASK64, MASK128 = sweep._PCG_MULT, (1 << 64) - 1, (1 << 128) - 1
+
+
+def crafted_stream(second: int, third: int) -> tuple[int, int]:
+    """A PCG64 ``(state, inc)`` whose outputs 2 and 3 (counting from 0) are ``second`` and ``third``.
+
+    XSL-RR outputs ``rotr(high ^ low, high >> 58)``, so a state of any
+    high half outputs a chosen word for one low half.  The increment takes
+    the state after output 2 to the one after output 3, and three steps
+    back give the state to start from.
+    """
+
+    def giving(word: int, high: int) -> int:
+        turn = high >> 58
+        return high << 64 | high ^ ((word << turn | word >> (64 - turn)) & MASK64)
+
+    after2 = giving(second, 0x9E3779B97F4A7C15)
+    for high in (0xBF58476D1CE4E5B9, 0xBF58476D1CE4E5B8):  # the low bits decide the increment's parity
+        after3 = giving(third, high)
+        inc = (after3 - PCG_MULT * after2) & MASK128
+        if inc & 1:
+            break
+    state = pow(PCG_MULT, -3, 1 << 128) * (after2 - (1 + PCG_MULT + PCG_MULT**2) * inc) & MASK128
+    return state, inc
+
+
+class TestDrawBatch:
+    """The batch draw against numpy's ``default_rng([seed, index])`` draws, its oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 42, 4510362879286407517])
+    def test_matches_default_rng(self, seed):
+        indices = range(10_000)
+        references = [reference_draw(np.random.default_rng([seed, index])) for index in indices]
+        draws = sweep._draw_batch(seed, indices)
+        assert draws[0].tolist() == list(indices)
+        assert_draws_match(draws, references)
+
+    @pytest.mark.parametrize("seed", [0, 7, 4510362879286407517, 2**70 + 3, 2**96 + 5])
+    def test_a_batch_mixes_index_word_counts(self, seed):
+        # SeedSequence hashes one 32-bit word of an index below 2^32 and two
+        # above; with a seed of three or four words the entropy outgrows the
+        # four-word pool, whose extra words take their own mixing loop
+        indices = [0, 2**32, 3, 2**32 - 1, 2**40 + 7, 2**64 - 1, 11, 2**33]
+        references = [reference_draw(np.random.default_rng([seed, index])) for index in indices]
+        assert_draws_match(sweep._draw_batch(seed, indices), references)
+
+    def test_crafted_streams_take_the_rare_branches(self):
+        # Outputs 2 and 3 of a stream feed the two bounded integers.  n takes
+        # the low half of output 2 with bound 6, and a half h is rejected
+        # when 6 h mod 2^32 < 2^32 mod 6 = 4; the degree takes the next half
+        # with bound 17 - n, for n = 2 bound 15 and threshold 1.
+        n_is_2 = 1 << 30  # 6 * 2^30 / 2^32 = 1.5
+        cases = [
+            # both halves of output 2 reject n, and output 3 gives n = 1 and
+            # degree 16, so the last draws lie past the first 37 outputs
+            (0, 0xF0000000_00000001),
+            (n_is_2, 0x0123456789ABCDEF),  # a zero high half rejects the degree
+            (1 << 32 | n_is_2, 0),  # degree = n = 2, and a modulus of 0 leaves mass 0 < 1e-12
+            (0x0123456789ABCDEF, 0xFEDCBA9876543210),  # no rejection, in the same batch
+        ]
+
+        def pcg64(state, inc):
+            bits = np.random.PCG64()
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            return bits
+
+        streams = [crafted_stream(*case) for case in cases]
+        references = [reference_draw(np.random.Generator(pcg64(*stream))) for stream in streams]
+        assert [pcg64(*stream).random_raw(4)[2:].tolist() for stream in streams] == [list(case) for case in cases]
+        assert [(reference[1], len(reference[3])) for reference in references[:3]] == [(1, 16), (2, 9), (2, 1)]
+        assert references[2][3][0].imag == 0.0  # the zero-mass branch's one coefficient, the total
+
+        def halves(values):
+            return np.array([v >> 64 for v in values], dtype=np.uint64), np.array([v & MASK64 for v in values], dtype=np.uint64)
+
+        state, inc = zip(*streams)
+        assert_draws_match(sweep._draw(halves(state), halves(inc)), references)
+
+    def test_the_pinned_hard_trial_is_drawn(self):
+        p = draw_trial(4510362879286407517, 43)
+        assert (p.n, p.r) == (2, 0.852868160831409)
+        a0, n, r, coeffs = reference_draw(np.random.default_rng([4510362879286407517, 43]))
+        assert (p.a0, p.n, p.r) == (a0, n, r) and p.exponent.coeffs.tobytes() == coeffs.tobytes()
+
+    def test_negative_seeds_and_indices_are_domain_errors(self):
+        for seed, index in ((-1, 0), (1, -1)):
+            with pytest.raises(DomainError, match="must be non-negative"):
+                draw_trial(seed, index)
+
+
+def sweep_digest(summary) -> str:
+    """sha256 of everything a summary reports, the failed trials' draws included."""
+    failed = [
+        (o.params.index, o.params.a0, o.params.n, o.params.r, o.params.exponent.coeffs.tolist(),
+         o.min_report.to_dict(), o.max_report.to_dict())
+        for o in summary.failed
+    ]
+    fields = (summary.trials, summary.seed, summary.tolerance, summary.max_duality_gap, summary.worst_margins, failed)
+    return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Sweep outputs pinned from the per-trial ``default_rng`` draws, which the batch draw replaced."""
+
+    @pytest.mark.parametrize(
+        "trials, seed, tol, digest",
+        [
+            (1000, 1, DEFAULT_TOL, "d7dc9c234f6f7a67380e03595529c5312a8352461b26e7f3d986ec3c39626031"),
+            (1000, 5, DEFAULT_TOL, "0a5c48540d6599e0fc0f62ed3ff67c01b9ea7d85a5180d6e141f0f77340a2207"),
+            (1000, 7, DEFAULT_TOL, "68b3062e7f9baa09a49c12b2a16fa157b9dc8e51475d9be6375038980e9e703e"),
+            (1000, 42, DEFAULT_TOL, "ab9cf81835c7e9094cef9c5e779d68d188daf4e009b229e19b5ec24b5778a52f"),
+            (300, 3, 1e-18, "d0590e4046ad041b842ef633b6e0e9597e4fe30b6c4389eb6f006c0fbd778a86"),
+        ],
+    )
+    def test_sweep_digest(self, trials, seed, tol, digest):
+        assert sweep_digest(run_sweep(trials, seed, tol)) == digest
+
+    def test_cli_sweep_output(self):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.main(["sweep", "--trials", "300", "--seed", "42", "--format", "json"])
+        assert code == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "fe8c1701ba7bd3fad3aedddd2673367b692c44af63d34f2a89490666f8e17883"
 
 
 class TestRunTrial:
@@ -138,7 +305,7 @@ class TestBatchedSearches:
     @pytest.mark.parametrize("seed", [1, 7, 42, 4510362879286407517])
     def test_batch_matches_the_scalar_searches(self, seed):
         trials = [draw_trial(seed, index) for index in range(100)]
-        minima, maxima = sweep._batched_searches(trials, DEFAULT_GRID)
+        minima, maxima = batched_searches(seed, 100)
         steps = [0, 0]
         for p, low, high in zip(trials, minima, maxima):
             f = ExpSeriesFunction(p.a0, p.exponent)
@@ -259,17 +426,25 @@ class TestTrialErrors:
 
     @staticmethod
     def patch_draws(monkeypatch, changes):
-        real = sweep.draw_trial
+        """Edit the batch draw's columns ``(index, a0, n, degree, r, h)`` of each trial in ``changes``."""
+        real = sweep._draw_batch
 
-        def draw(seed, index):
-            p = real(seed, index)
-            return dataclasses.replace(p, **changes[index](p)) if index in changes else p
+        def draw(seed, indices):
+            draws = real(seed, indices)
+            for row, index in enumerate(draws[0].tolist()):
+                if index in changes:
+                    changes[index](draws, row)
+            return draws
 
-        monkeypatch.setattr(sweep, "draw_trial", draw)
+        monkeypatch.setattr(sweep, "_draw_batch", draw)
 
     @staticmethod
-    def constant(p):
-        return {"exponent": PowerSeries(0.0, p.n, np.zeros(len(p.exponent.coeffs)))}
+    def constant(draws, row):
+        draws[5][row] = 0.0
+
+    @staticmethod
+    def outside(draws, row):
+        draws[4][row] = 1.5
 
     def test_constant_exponent_aborts_with_its_error(self, monkeypatch):
         self.patch_draws(monkeypatch, {3: self.constant})
@@ -278,12 +453,12 @@ class TestTrialErrors:
 
     def test_the_earliest_trial_error_comes_first(self, monkeypatch):
         # trial 5's search raises, but trial 3's chain check comes before it
-        self.patch_draws(monkeypatch, {3: self.constant, 5: lambda p: {"r": 1.5}})
+        self.patch_draws(monkeypatch, {3: self.constant, 5: self.outside})
         with pytest.raises(ConstantFunction):
             run_sweep(10, 42)
 
     def test_a_scalar_search_error_surfaces_at_its_trial(self, monkeypatch):
-        self.patch_draws(monkeypatch, {5: lambda p: {"r": 1.5}})
+        self.patch_draws(monkeypatch, {5: self.outside})
         with pytest.raises(DomainError, match=r"^circle radius must lie in \(0, 1\), got 1.5$"):
             run_sweep(10, 42)
 
@@ -304,7 +479,7 @@ class TestTrialErrors:
         # leaves every row open, and the first scalar search, trial 0's, raises
         monkeypatch.setattr(extremum, "INTERIOR_TOL", -1.0)
         trials = [draw_trial(1, index) for index in range(5)]
-        assert sweep._batched_searches(trials, DEFAULT_GRID) == ([None] * 5, [None] * 5)
+        assert batched_searches(1, 5) == ([None] * 5, [None] * 5)
         radii, search = [], sweep.find_min_on_disk
 
         def spy(f, r, grid):
