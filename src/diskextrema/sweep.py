@@ -411,7 +411,8 @@ def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFA
         max_gap = np.fmax.reduce(np.abs(low.m - high.m), initial=max_gap)
         worst = np.fmin(worst, np.fmin.reduce(np.concatenate((low.margins, high.margins), axis=1), axis=1))
         for row in np.flatnonzero(~(low.passed & high.passed)).tolist():
-            failed.append(TrialOutcome(params=_trial(draws, row), min_report=low.report(row), max_report=high.report(row)))
+            params = _trial(draws, row)
+            failed.append(TrialOutcome(params=params, min_report=low.report(row), max_report=high.report(row)))
     clean = {name: (None if np.isinf(value) else float(value)) for name, value in zip(LINK_NAMES, worst.tolist())}
     return SweepSummary(
         trials=trials,

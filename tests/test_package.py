@@ -31,7 +31,8 @@ def test_import_and_sweep_load_neither_numpy_random_nor_scipy():
     # alone takes about 19 ms; the sweep's draws need none of it
     code = (
         "import sys, diskextrema\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.random'))\n"
         "print(loaded()); diskextrema.run_sweep(2, 1); print(loaded())"
     )
     root = os.path.dirname(os.path.dirname(diskextrema.__file__))

@@ -55,7 +55,10 @@ def scalar_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = D
 
 
 def batched_searches(seed: int, count: int, grid: int = DEFAULT_GRID):
-    """The batch's min and max disk searches of trials ``0 .. count - 1`` of ``seed``; None where a row needs the scalar search."""
+    """The batch's min and max disk searches of trials ``0 .. count - 1`` of ``seed``.
+
+    An entry is None where the row needs the scalar search.
+    """
     _, a0, _, _, r, h = sweep._draw_batch(seed, range(count))
     return sweep._searches(a0, h, r, grid)
 
@@ -185,7 +188,9 @@ class TestDrawBatch:
 
         def pcg64(state, inc):
             bits = np.random.PCG64()
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            bits.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+            }
             return bits
 
         streams = [crafted_stream(*case) for case in cases]
@@ -195,7 +200,7 @@ class TestDrawBatch:
         assert references[2][3][0].imag == 0.0  # the zero-mass branch's one coefficient, the total
 
         def halves(values):
-            return np.array([v >> 64 for v in values], dtype=np.uint64), np.array([v & MASK64 for v in values], dtype=np.uint64)
+            return tuple(np.array([v >> shift & MASK64 for v in values], dtype=np.uint64) for shift in (64, 0))
 
         state, inc = zip(*streams)
         assert_draws_match(sweep._draw(halves(state), halves(inc)), references)
