@@ -69,19 +69,19 @@ from a ``(T, M)`` grid of moduli (``T = 1`` for one function), and
 ``_best`` skips rotated copies, keeps the best basin and checks the
 origin and ring.  The caller brings the sampler and the polish kernel:
 for one function, one ``f.on_circle`` call per grid and ``_polish`` on
-``f.jet``, with ``_settle`` building the :class:`ExtremumResult`.  A
-sweep searches the stack of its functions ``a0 exp(h)`` and of their
-reciprocals at once (``_search_exp_batch``, minima and maxima row by
-row): one ``(T, M)`` inverse FFT
-of the exponents gives every row's grid, ``K = sum k^2 |h_k| r^k``
-certifies it, and ``_polish_rows`` polishes every candidate of every row
-in one vector loop, with the jets taken by Horner's rule.  A row's result
-carries no ``z0``; ``_exp_jets`` takes the jets at the located points for
-the sweep's chain.  Each row's arithmetic is elementwise, so its
-result does not depend on the rest of the batch.  A row whose grid would
-double, whose bracket holds no sign change, or that would raise is left
-to the one-function search, and so is every row of a grid that is not a
-multiple of 256 points.
+``f.jet``.  A sweep searches the stack of its functions ``a0 exp(h)``
+and of their reciprocals at once (``_search_exp_batch``): one ``(T, M)``
+inverse FFT of the exponents serves both searches of every trial, since
+``|1/f| = 1/|f|``, so the ``2T`` rows of moduli hold the minima's grids
+and then the maxima's.  ``K = sum k^2 |h_k| r^k``, computed once per
+trial, certifies both, and ``_polish_rows`` polishes every candidate of
+every row in one vector loop, with the jets taken by Horner's rule.  A
+row's result carries no ``z0``; ``_exp_jets`` takes the jets at the
+located points for the sweep's chain.  Each row's arithmetic is
+elementwise, so its result does not depend on the rest of the batch.  A
+row whose grid would double, whose bracket holds no sign change, or that
+would raise is left to the one-function search, and so is every row of a
+grid that is not a multiple of 256 points.
 """
 
 from __future__ import annotations
@@ -269,9 +269,18 @@ def _search_circle(f: AnalyticFunction, r: float, grid: int, minimize: bool) -> 
             edges = np.append(np.abs(f.on_circle(r, BOUNDARY_RING)), edges)
         return sign * float((sign * edges).min())
 
-    return _settle(
+    theta, value, bracket, iterations = _best(
         indices.tolist(), samples, lambda i, theta: _polish(f, r, theta, step, samples // 2, sign),
-        f.rotation_order, sign, r, slack, edge,
+        f.rotation_order, sign, edge,
+    )
+    return ExtremumResult(
+        theta=theta,
+        z0=complex(r * np.exp(1j * theta)),
+        value=value,
+        grid_size=samples,
+        refine_iterations=iterations,
+        bracket_width=bracket,
+        certified_gap=slack,
     )
 
 
@@ -297,23 +306,6 @@ def _candidates(key: np.ndarray, slack, spread, sign: float) -> tuple[np.ndarray
     local = (near_key < key[rows, near - 1]) & (near_key <= key[rows, (near + 1) % samples])
     local &= near != winner[rows]
     return np.concatenate((np.arange(count), rows[local])), np.concatenate((winner, near[local]))
-
-
-def _settle(indices, samples: int, polish, rotation_order, sign: float, r: float, slack: float, edge):
-    """The :class:`ExtremumResult` of one circle of radius ``r``: :func:`_best` of its candidates."""
-    best = _best(indices, samples, polish, rotation_order, sign, edge)
-    if best is None:
-        return None
-    theta, value, bracket, iterations = best
-    return ExtremumResult(
-        theta=theta,
-        z0=complex(r * np.exp(1j * theta)),
-        value=value,
-        grid_size=samples,
-        refine_iterations=iterations,
-        bracket_width=bracket,
-        certified_gap=slack,
-    )
 
 
 def _best(indices, samples: int, polish, rotation_order, sign: float, edge):
@@ -417,44 +409,44 @@ class _RowExtremum(NamedTuple):
     certified_gap: float
 
 
-def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, minimize: np.ndarray) -> list:
-    """:func:`find_min_on_disk` of ``f = a0 exp(h)``, or :func:`find_max_on_disk` of ``1/f``, for each row.
+def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> tuple[list, list]:
+    """:func:`find_min_on_disk` of each row's ``f = a0 exp(h)`` and :func:`find_max_on_disk` of its ``1/f``.
 
     ``a0`` and ``r`` are ``(T,)`` arrays and ``h`` is ``(T, W)``, the
-    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``;
-    ``minimize`` is a ``(T,)`` bool array, one case per row, so that minima
-    and maxima can share the polish loop.  A row's result is a :class:`_RowExtremum` on
-    ``grid``.  A row that the scalar search would refine to a finer grid,
-    walk, or raise for is None, and so is every row when ``grid`` is not a
+    exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``.  One
+    transform per row serves both searches, since ``|1/f| = 1/|f|``: rows
+    ``0 .. T-1`` of the moduli are the minima's grids and rows ``T .. 2T-1``
+    the maxima's, and one polish loop serves all ``2T`` rows.  Returns the
+    minima and the maxima, a :class:`_RowExtremum` on ``grid`` per trial.
+    A search that the scalar one would refine to a finer grid, walk, or
+    raise for is None, and so is every search when ``grid`` is not a
     multiple of ``BOUNDARY_RING``; the caller runs the scalar search for
     those.
     """
     count = len(a0)
     if grid < BOUNDARY_RING or grid % BOUNDARY_RING:
-        return [None] * count
-    sign = np.where(minimize, 1.0, -1.0)
+        return [None] * count, [None] * count
+    sign = np.repeat([1.0, -1.0], count)
     step = TAU / grid
     k = np.arange(h.shape[1])
     # Rows out of range come back None, for the scalar search to raise.
     with np.errstate(all="ignore"):
         power = r[:, None] ** k
-        # The transform pads the coefficients itself, and the samples are freed
-        # before the polish: the rows of minima and maxima share one batch, so
-        # its arrays are twice the size of one search's.
+        # The transform pads the coefficients itself, and the samples are freed before the polish.
         spectrum = np.fft.ifft(h * power, n=grid, axis=1)
         spectrum *= grid
         # |a0 exp(h)| = |a0| e^{Re h}, and |1/f| is its reciprocal.
-        moduli = np.exp(spectrum.real)
+        moduli = np.empty((2 * count, grid))
+        np.exp(spectrum.real, out=moduli[:count])
         del spectrum
-        moduli *= np.abs(a0)[:, None]
-        np.divide(1.0, moduli, out=moduli, where=~minimize[:, None])
+        moduli[:count] *= np.abs(a0)[:, None]
+        np.divide(1.0, moduli[:count], out=moduli[count:])
         low, high = moduli.min(axis=1), moduli.max(axis=1)
         # ExpSeriesFunction.log_modulus_curvature, which 1/f shares.
-        slack = (k * k * (np.abs(h) * power)).sum(axis=1) * step**2 / 8.0
+        slack = np.tile((k * k * (np.abs(h) * power)).sum(axis=1) * step**2 / 8.0, 2)
         spread = np.log(high) - np.log(low)
         ok = (
-            (r > 0.0)
-            & (r < 1.0)
+            np.tile((r > 0.0) & (r < 1.0), 2)
             & np.isfinite(moduli).all(axis=1)
             & _grid_settled(slack, spread)
             # |f| stays above low e^-slack on the whole circle, so no polish
@@ -464,8 +456,9 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
         rows, index = _candidates(sign[:, None] * moduli, slack, spread, sign)
         rows, index = rows[ok[rows]], index[ok[rows]]
 
-        coeffs = _horner_stack(h[rows], 1)
-        scale, radius, lows, signs = a0[rows], r[rows], minimize[rows], sign[rows]
+        trial = rows % count
+        coeffs = _horner_stack(h[trial], 1)
+        scale, radius, lows, signs = a0[trial], r[trial], rows < count, sign[rows]
 
         def sample(t: np.ndarray):
             z = radius * np.exp(1j * (t % TAU))
@@ -480,25 +473,25 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int, m
         # Every candidate is polished in one loop, then the shared rules settle
         # each row; a rotated copy that they skip leaves its result unread.
         polished = _polish_rows(sample, TAU * index / grid, step, signs)
-        origin = np.abs(np.where(minimize, a0, 1.0 / a0)).tolist()  # |f(0)| = |a0 exp(0)|
+        origin = np.abs(np.concatenate((a0, 1.0 / a0))).tolist()  # |f(0)| = |a0 exp(0)|
     positions: dict[int, list[int]] = {}
     for position, row in enumerate(rows.tolist()):
         positions.setdefault(row, []).append(position)
     index = index.tolist()
 
     slack, sign = slack.tolist(), sign.tolist()
-    out: list = [None] * count
+    out: list = [None] * (2 * count)
     for row, ps in positions.items():
         try:  # the grid is a multiple of the ring, so the origin is the only edge
             best = _best(
                 [index[p] for p in ps], grid, lambda i, t, ps=ps: polished[ps[i]],
-                lambda row=row: _rotation_order(h[row]), sign[row], lambda row=row: origin[row],
+                lambda row=row: _rotation_order(h[row % count]), sign[row], lambda row=row: origin[row],
             )
         except (InteriorBelowBoundary, InteriorAboveBoundary):
             continue  # the scalar search raises it at the row's own trial
         if best is not None:
             out[row] = _RowExtremum(*best, slack[row])
-    return out
+    return out[:count], out[count:]
 
 
 def _horner_stack(h: np.ndarray, derivatives: int) -> np.ndarray:

@@ -19,15 +19,17 @@ later numpy change its ``Generator`` streams, which NEP 19 does not
 promise to keep stable.
 
 The disk searches run in batches of up to 512 trials on the default
-grid: the minima of all f and the maxima of all ``1/f`` as the two halves
-of one batched search, whose rows are independent, so the duality gap
-stays a check.  A batch shares the rules of ``find_min_on_disk`` and
-``find_max_on_disk``, with its own sampler and polish kernel.  The chain
-checks run over the batch too: each row's jet at its located point comes
-from Horner's rule over the exponents' coefficients (the formulas of
-``ExpSeriesFunction.jet`` and ``Reciprocal.jet``), and every link of
-every row from the one set of expressions that ``check_min_theorem`` and
-``check_max_lemma`` evaluate at a single point.  The sweep takes its
+grid.  One transform of each trial's exponent serves both of its
+searches, the minimum of f and the maximum of ``1/f``, since
+``|1/f| = 1/|f|``; past the moduli each search is a row of its own, so
+the duality gap stays a check.  A batch shares the rules of
+``find_min_on_disk`` and ``find_max_on_disk``, with its own sampler and
+polish kernel.  The chain checks run over the batch too: each row's jet
+at its located point comes from Horner's rule over the exponents'
+coefficients (the formulas of ``ExpSeriesFunction.jet`` and
+``Reciprocal.jet``), and every link of every row from the one set of
+expressions that ``check_min_theorem`` and ``check_max_lemma`` evaluate
+at a single point.  The sweep takes its
 duality gap and worst margins as reductions over those columns, and
 builds trials, functions and reports only where they are read.  These
 rows take the scalar path instead:
@@ -78,7 +80,7 @@ COEFF_BUDGET = 2.0
 RADIUS_RANGE = (0.1, 0.9)
 
 #: Circle samples per batch search: 512 trials on the default grid, a
-#: minimum and a maximum row each, 4 MB per ``(rows, grid)`` complex array.
+#: minimum and a maximum row each, 2 MB for the transform and 2 MB for the moduli.
 _BATCH_SAMPLES = 1 << 18
 
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -288,18 +290,6 @@ def _draw(state: tuple, inc: tuple) -> tuple:
     return a0, n, n + extra, r, h
 
 
-def _searches(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> tuple[list, list]:
-    """The min disk searches of every trial's f and the max disk searches of its 1/f.
-
-    They run as the two halves of one batch, so that one polish loop
-    serves both; a row's arithmetic is its own, so the two stay
-    independent.  An entry is None where the trial needs the scalar search.
-    """
-    count = len(a0)
-    both = _search_exp_batch(np.tile(a0, 2), np.tile(h, (2, 1)), np.tile(r, 2), grid, np.arange(2 * count) < count)
-    return both[:count], both[count:]
-
-
 @dataclass
 class _Chain:
     """One case's chain at every trial of a batch, as the columns ``m``, ``margins`` and ``passed``.
@@ -342,18 +332,18 @@ class _Chain:
 def _chains(draws: tuple, tol: float, grid: int) -> tuple[_Chain, _Chain]:
     """The min chain of every trial's f and the max chain of its 1/f, for :func:`_draw_batch`'s columns.
 
-    The disk searches run as one batch (:func:`_searches`), and each
-    case's chain as one :func:`lemma._links` over the jets at the located
-    points.  A row that the batch leaves open takes the scalar search and
-    check, and a row whose chain would raise takes the scalar check at the
-    batch's point.  Those run in trial order, min before max, so that an
+    Both disk searches of every trial run as one batch
+    (:func:`extremum._search_exp_batch`), and each case's chain as one
+    :func:`lemma._links` over the jets at the located points.  A row that
+    the batch leaves open takes the scalar search and check, and a row
+    whose chain would raise takes the scalar check at the batch's point.  Those run in trial order, min before max, so that an
     error surfaces at its own trial.
     """
     _, a0, n, _, r, h = draws
     # The scalar check raises for a constant exponent and for a bad tolerance.
     rejected = (np.abs(h).max(axis=1) <= CONSTANT_TOL) | (not 0.0 < tol < math.inf)
     cases = []
-    for minimize, case, located in zip((True, False), ("min", "max"), _searches(a0, h, r, grid)):
+    for minimize, case, located in zip((True, False), ("min", "max"), _search_exp_batch(a0, h, r, grid)):
         settled = np.array([result is not None for result in located])
         z0 = r * np.exp(1j * np.array([result.theta if result else 0.0 for result in located]))
         scale = a0 if minimize else 1.0 / a0

@@ -60,7 +60,7 @@ def batched_searches(seed: int, count: int, grid: int = DEFAULT_GRID):
     An entry is None where the row needs the scalar search.
     """
     _, a0, _, _, r, h = sweep._draw_batch(seed, range(count))
-    return sweep._searches(a0, h, r, grid)
+    return _search_exp_batch(a0, h, r, grid)
 
 
 def summary_fields(summary):
@@ -332,9 +332,9 @@ class TestBatchedSearches:
         h[0, 60] = 0.5
         h[2, 3], h[2, 5] = 0.3, 0.2j
         a0, r = np.array([1.0, 0.8, 1.2 + 0.3j]), np.array([0.95, 0.5, 0.7])
-        coarse = _search_exp_batch(a0, h, r, 256, np.full(3, minimize))
+        coarse = _search_exp_batch(a0, h, r, 256)[0 if minimize else 1]
         assert coarse[0] is None and coarse[1] is None and coarse[2] is not None
-        fine = _search_exp_batch(a0, h, r, 512, np.full(3, minimize))
+        fine = _search_exp_batch(a0, h, r, 512)[0 if minimize else 1]
         f = ExpSeriesFunction(1.0, PowerSeries(0.0, 60, [0.5]))
         scalar = find_min_on_disk(f, 0.95) if minimize else find_max_on_disk(Reciprocal(f), 0.95)
         assert fine[0] is not None and scalar.grid_size == 512
@@ -363,6 +363,16 @@ class TestBatchedSearches:
             replay = run_trial(3, outcome.params.index, tol=1e-18)
             assert outcome.min_report.to_dict() == replay.min_report.to_dict()
             assert outcome.max_report.to_dict() == replay.max_report.to_dict()
+
+    def test_rows_on_the_scalar_path_report_the_scalar_checks(self):
+        # a 16-point grid leaves every row to the scalar search and check, so
+        # each failed trial's reports are the scalar ones, bit for bit
+        summary = run_sweep(12, 2, tol=1e-18, grid=16)
+        assert [o.params.index for o in summary.failed] == list(range(12))
+        for outcome in summary.failed:
+            low, high = scalar_reports(draw_trial(2, outcome.params.index), 1e-18, 16)
+            assert outcome.min_report.to_dict() == low.to_dict()
+            assert outcome.max_report.to_dict() == high.to_dict()
 
 
 #: Ulps of a chain's scale by which two evaluations of it at one point may
