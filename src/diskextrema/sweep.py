@@ -9,14 +9,13 @@ falsifies the implementation, not the mathematics.
 
 All randomness is derived from ``(seed, trial_index)``; no global
 generator state is touched, so trials are reproducible individually and
-the sweep output is byte-identical across runs.  A trial is what a numpy
-``Generator`` on ``PCG64(SeedSequence([seed, index]))`` draws, but the
-sweep builds none: :func:`_draw_batch` writes out ``SeedSequence``'s hash,
-the ``PCG64`` stream, the bounded integers and the uniform doubles as
-uint64 and float64 column arithmetic over a whole batch.  Its draws equal
-numpy 2.4.6's on x86-64, bit for bit, and they stay as they are should a
-later numpy change its ``Generator`` streams, which NEP 19 does not
-promise to keep stable.
+the sweep output is byte-identical across runs.  The stream is
+counter-based (Salmon et al., SC 2011): the seed and the index fold into
+a 64-bit key, and each drawn quantity has a fixed slot ``k`` whose
+uniform is SplitMix64's hash of ``key + (k + 1) gamma`` (Steele, Lea &
+Flood, OOPSLA 2014).  So a trial does not depend on its batch, and
+:func:`_draw_batch` draws a whole batch as uint64 and float64 column
+arithmetic, with no ``numpy.random``.
 
 The disk searches run in batches of up to 512 trials on the default
 grid.  One transform of each trial's exponent serves both of its
@@ -83,9 +82,9 @@ RADIUS_RANGE = (0.1, 0.9)
 #: minimum and a maximum row each, 2 MB for the transform and 2 MB for the moduli.
 _BATCH_SAMPLES = 1 << 18
 
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-#: ``PCG64``'s LCG multiplier ``M``.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: Uniforms per trial, one for each slot of :func:`_draw`.
+_SLOTS = 6 + 2 * MAX_DEGREE
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -139,155 +138,64 @@ def _draw_batch(seed: int, indices) -> tuple:
     """The trials ``(seed, index)``, ``index`` in ``indices``, as the columns ``(index, a0, n, degree, r, h)``.
 
     ``h`` holds each exponent's coefficients of ``z^0 .. z^MAX_DEGREE``.
-    The 32-bit words of ``[seed, index]`` go through ``SeedSequence``'s
-    hash into a ``PCG64`` seed, and :func:`_draw` takes the draws from the
-    seeded stream, as numpy does.
+    The seed's 64-bit words, low first, and then the index are folded into
+    a row key by ``key = mix(key ^ word)``, and slot ``k`` of the row is
+    the uniform ``(w >> 11) 2^-53`` of ``w = mix(key + (k + 1) gamma)``,
+    with SplitMix64's finalizer ``mix`` and increment ``gamma``.
     """
     import operator  # already loaded by the interpreter; a seed may be any integer type
 
-    seed = operator.index(seed)
-    if seed < 0 or min(indices) < 0:
-        raise DomainError(f"seed and trial indices must be non-negative, got {seed} and {min(indices)}")
+    seed, first, last = operator.index(seed), min(indices), max(indices)
+    if seed < 0 or first < 0:
+        raise DomainError(f"seed and trial indices must be non-negative, got {seed} and {first}")
+    if last > _MASK64:
+        raise DomainError(f"trial indices must lie in [0, 2^64), got {last}")
     index = np.asarray(indices, dtype=np.uint64)
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    low, high = (index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)
-    pool = np.empty((4, len(index)), dtype=np.uint32)
-    # an index takes one or two words, and SeedSequence hashes what it is given
-    for wide, rows in enumerate((high == 0, high != 0)):
-        if rows.any():
-            entropy = np.empty((len(words) + 1 + wide, np.count_nonzero(rows)), dtype=np.uint32)
-            entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-            entropy[len(words) :] = (low[rows], high[rows])[: 1 + wide]
-            pool[:, rows] = _seed_pool(entropy)
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_constants(0x8B51F9DD, 0x58F38DED, 8)).astype(np.uint64)
-    seed_hi, seed_lo, init_hi, init_lo = state[0::2] | state[1::2] << 32
-    inc = (init_hi << 1 | init_lo >> 63, init_lo << 1 | 1)
-    start = _add128(_mul128(_add128(inc, (seed_hi, seed_lo)), (_PCG_MULT >> 64, _PCG_MULT & _MASK64)), inc)
-    return (index, *_draw(start, inc))
+    key = np.zeros_like(index)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix(key ^ np.uint64(seed >> shift & _MASK64))
+    key = _mix(key ^ index)
+    words = _mix(key[:, None] + np.arange(1, _SLOTS + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+    return (index, *_draw((words >> np.uint64(11)) * (1.0 / 9007199254740992.0)))
 
 
-def _hash_constants(const: int, mult: int, count: int) -> np.ndarray:
-    """``SeedSequence``'s first ``count + 1`` hash constants from ``const``, each ``mult`` times the last."""
-    consts = [const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of each uint64 word, a bijection (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ z >> np.uint64(31)
 
 
-def _hashmix(value: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s hashmix of the rows of uint32 ``value``, row ``i`` with constants ``const[i:i + 2]``."""
-    value = (value ^ const[:-1, None]) * const[1:, None]
-    return value ^ value >> 16
+def _draw(u: np.ndarray) -> tuple:
+    """``(a0, n, degree, r, h)`` of each row of the ``(T, _SLOTS)`` uniforms ``u``, each in ``[0, 1)``.
 
-
-def _seed_pool(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence``'s ``(4, T)`` pool of the ``(L, T)`` uint32 entropy words."""
-    const = _hash_constants(0x43B0D7E5, 0x931E8875, 16 + 4 * max(len(entropy) - 4, 0))
-    pool = np.zeros((4, entropy.shape[1]), dtype=np.uint32)
-    pool[: len(entropy)] = entropy[:4]
-    pool, used = _hashmix(pool, const[:5]), 4
-    # each pool word is mixed into the others, then each word past the pool into all four
-    for src in range(max(len(entropy), 4)):
-        dst = [k for k in range(4) if k != src]
-        hashed = _hashmix(pool[src] if src < 4 else entropy[src], const[used : used + len(dst) + 1])
-        used += len(dst)
-        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
-        pool[dst] = mixed ^ mixed >> 16
-    return pool
-
-
-def _mul128(a: tuple, b: tuple) -> tuple:
-    """The low 128 bits of ``a * b``, each a ``(high, low)`` pair of uint64 words."""
-    (ah, al), (bh, bl) = a, b
-    a1, a0, b1, b0 = al >> 32, al & _MASK32, bl >> 32, bl & _MASK32
-    carry = a1 * b0 + (a0 * b0 >> 32)
-    middle = a0 * b1 + (carry & _MASK32)
-    return a1 * b1 + (carry >> 32) + (middle >> 32) + al * bh + ah * bl, al * bl
-
-
-def _add128(a: tuple, b: tuple) -> tuple:
-    """``a + b`` modulo ``2^128``, each a ``(high, low)`` pair of uint64 words."""
-    low = a[1] + b[1]
-    return a[0] + b[0] + (low < a[1]), low
-
-
-def _stream(state: tuple, inc: tuple, count: int) -> np.ndarray:
-    """The first ``count`` 64-bit outputs of each row's ``PCG64`` at ``(state, inc)``, as ``(T, count)``.
-
-    Output ``k`` is the XSL-RR output of the LCG state ``M^(k+1) state +
-    (1 + M + ... + M^k) inc``, one step of which is ``state * M + inc``.
-    """
-    jumps, power, total = bytearray(), 1, 0
-    for _ in range(count):
-        power, total = power * _PCG_MULT & _MASK128, (total + power) & _MASK128
-        jumps += power.to_bytes(16, "little") + total.to_bytes(16, "little")
-    (power_lo, total_lo), (power_hi, total_hi) = np.frombuffer(jumps, "<u8").astype(np.uint64).reshape(count, 2, 2).T
-    state_hi, state_lo, inc_hi, inc_lo = (half[:, None] for half in state + inc)
-    high, low = _add128(
-        _mul128((state_hi, state_lo), (power_hi, power_lo)), _mul128((inc_hi, inc_lo), (total_hi, total_lo))
-    )
-    word, turn = high ^ low, high >> 58
-    return word >> turn | word << (64 - turn & 63)
-
-
-def _below(words: np.ndarray, half: np.ndarray, bound) -> tuple:
-    """numpy's 32-bit Lemire draw in ``[0, bound)`` for each row: the draw and the next ``half``.
-
-    It takes the 32-bit halves of ``words[:, 2:]``, low half first, from
-    ``half`` on, and rejects as ``Generator.integers`` does.
-    """
-    signed, rows = words.view(np.int64), np.arange(len(words))
-    while True:
-        scaled = (signed[rows, 2 + half // 2] >> (half & 1) * 32 & _MASK32) * bound
-        redo = (scaled & _MASK32) < (1 << 32) % bound
-        if not redo.any():
-            return scaled >> 32, half + 1
-        half = half + redo
-
-
-def _draw(state: tuple, inc: tuple) -> tuple:
-    """``(a0, n, degree, r, h)`` of each row, as a numpy ``Generator`` draws a trial from ``PCG64`` at ``(state, inc)``.
-
-    In stream order: ``|a0|`` and ``arg a0`` take a double each, ``n`` and
-    the degree a 32-bit bounded integer each (the two halves of one word,
-    unless one is rejected), then the coefficients' moduli and phases,
-    their total and ``r`` take a double each.  A double is
-    ``(word >> 11) 2^-53``, and a uniform draw is ``low + (high - low) u``.
+    The slots are ``|a0|``, ``arg a0``, ``n``, the degree, the
+    ``MAX_DEGREE`` coefficient moduli, their phases, the moduli's total
+    and ``r``.  An integer in ``[low, high]`` is ``low + floor((high - low
+    + 1) u)`` and a uniform draw is ``low + (high - low) u``.  The first
+    ``degree - n + 1`` coefficients are kept, scaled to the drawn total.
     """
 
     def uniform(bounds, u):
         return bounds[0] + (bounds[1] - bounds[0]) * u
 
-    words = _stream(state, inc, 5 + 2 * MAX_DEGREE)
     low, high = CLASS_INDEX_RANGE
-    first, half = _below(words, np.zeros(len(words), dtype=np.int64), high - low + 1)
-    n = low + first
-    extra, half = _below(words, half, MAX_DEGREE + 1 - n)
-    count, start = extra + 1, 2 + (half + 1) // 2
-    if start.max() > 3:  # a rejected integer draw moves the doubles on
-        words = _stream(state, inc, int(start.max()) + 2 * MAX_DEGREE + 2)
-    u = (words >> 11) * (1.0 / 9007199254740992.0)
-    rows, slot = np.arange(len(u))[:, None], start[:, None] + np.arange(MAX_DEGREE)
-    raw = uniform((0.0, 1.0), u[rows, slot]) * np.exp(1j * uniform((0.0, 2.0 * np.pi), u[rows, slot + count[:, None]]))
-    tail = u[rows, (start + 2 * count)[:, None] + [0, 1]]
-    total, r = uniform((0.1 * COEFF_BUDGET, COEFF_BUDGET), tail[:, 0]), uniform(RADIUS_RANGE, tail[:, 1])
-    # np.sum's pairwise grouping depends on the length, so the rows of each count are summed together
-    order = np.argsort(count, kind="stable")
-    moduli, summed = np.abs(raw)[order], np.empty(len(u))
-    edges = np.searchsorted(count[order], np.arange(1, MAX_DEGREE + 2)).tolist()
-    for width, (begin, end) in enumerate(zip(edges, edges[1:]), 1):
-        np.add.reduce(moduli[begin:end, :width], axis=1, out=summed[begin:end])
-    mass = np.empty_like(summed)
-    mass[order] = summed
+    n = low + (u[:, 2] * (high - low + 1)).astype(np.int64)
+    degree = n + (u[:, 3] * (MAX_DEGREE + 1 - n)).astype(np.int64)
+    kept = np.arange(MAX_DEGREE) <= (degree - n)[:, None]
+    moduli = np.where(kept, u[:, 4 : 4 + MAX_DEGREE], 0.0)
+    raw = moduli * np.exp(1j * uniform((0.0, 2.0 * np.pi), u[:, 4 + MAX_DEGREE : -2]))
+    total, r = uniform((0.1 * COEFF_BUDGET, COEFF_BUDGET), u[:, -2]), uniform(RADIUS_RANGE, u[:, -1])
+    mass = moduli.sum(axis=1)
     flat = mass < 1e-12
     raw[flat], mass[flat] = 0.0, 1.0
     raw[flat, 0] = 1.0
     coeffs = raw * (total / mass)[:, None]
     h = np.zeros((len(u), MAX_DEGREE + 1), dtype=np.complex128)
-    row, slot = np.nonzero(np.arange(MAX_DEGREE) < count[:, None])
+    row, slot = np.nonzero(kept)
     h[row, n[row] + slot] = coeffs[row, slot]
     a0 = uniform(A0_MODULUS_RANGE, u[:, 0]) * np.exp(1j * uniform((0.0, 2.0 * np.pi), u[:, 1]))
-    return a0, n, n + extra, r, h
+    return a0, n, degree, r, h
 
 
 @dataclass

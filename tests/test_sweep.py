@@ -27,7 +27,7 @@ from diskextrema import (
 from diskextrema import cli, extremum, lemma, sweep
 from diskextrema.extremum import _search_exp_batch
 from diskextrema.lemma import LINK_NAMES
-from diskextrema.sweep import A0_MODULUS_RANGE, CLASS_INDEX_RANGE, COEFF_BUDGET, MAX_DEGREE, RADIUS_RANGE
+from diskextrema.sweep import A0_MODULUS_RANGE, COEFF_BUDGET, MAX_DEGREE, RADIUS_RANGE
 
 
 def scalar_reports(p, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
@@ -92,129 +92,107 @@ class TestDrawTrial:
             assert np.sum(np.abs(p.exponent.coeffs)) <= 2.0 + 1e-12
 
 
-def reference_draw(rng: np.random.Generator):
-    """``(a0, n, r, coefficients)`` of one trial, drawn as ``draw_trial`` drew them with numpy's Generator."""
-    mod_a0 = rng.uniform(*A0_MODULUS_RANGE)
-    arg_a0 = rng.uniform(0.0, 2.0 * np.pi)
-    n = int(rng.integers(CLASS_INDEX_RANGE[0], CLASS_INDEX_RANGE[1] + 1))
-    degree = int(rng.integers(n, MAX_DEGREE + 1))
-    count = degree - n + 1
-    raw = rng.uniform(0.0, 1.0, count) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
-    total = rng.uniform(0.1 * COEFF_BUDGET, COEFF_BUDGET)
-    mass = float(np.sum(np.abs(raw)))
-    if mass < 1e-12:
-        raw = np.zeros(count, dtype=np.complex128)
-        raw[0] = 1.0
-        mass = 1.0
-    coeffs = raw * (total / mass)
-    r = rng.uniform(*RADIUS_RANGE)
-    return complex(mod_a0 * np.exp(1j * arg_a0)), n, float(r), coeffs
+MASK64 = (1 << 64) - 1
 
 
-def assert_draws_match(columns, references):
-    """Every column of ``sweep._draw``/``_draw_batch`` rows equals its reference draw, bit for bit."""
-    a0, n, degree, r, h = columns[-5:]
-    want_h = np.zeros_like(h)
-    for row, (_, want_n, _, coeffs) in enumerate(references):
-        want_h[row, want_n : want_n + len(coeffs)] = coeffs
-    want_a0, want_n, want_r, coeffs = zip(*references)
-    assert a0.tobytes() == np.array(want_a0).tobytes()
-    assert n.tolist() == list(want_n)
-    assert degree.tolist() == [k + len(c) - 1 for k, c in zip(want_n, coeffs)]
-    assert r.tobytes() == np.array(want_r).tobytes()
-    assert h.tobytes() == want_h.tobytes()
+def splitmix_uniforms(seed: int, index: int) -> list[float]:
+    """The uniforms of trial ``(seed, index)``: SplitMix64 over Python integers, the batch draw's oracle."""
+
+    def mix(z: int) -> int:
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+        return z ^ z >> 31
+
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = mix(key ^ seed >> shift & MASK64)
+    key = mix(key ^ index)
+    return [(mix(key + k * 0x9E3779B97F4A7C15 & MASK64) >> 11) * 2.0**-53 for k in range(1, sweep._SLOTS + 1)]
 
 
-PCG_MULT, MASK64, MASK128 = sweep._PCG_MULT, (1 << 64) - 1, (1 << 128) - 1
+#: Trial 43 of seed 4510362879286407517 as the sweep drew it before its
+#: counter-based stream, as ``(a0, n, r, coefficients of z^n ..)`` in hex.
+#: Its maximum search's polished root and grid winner differ by 1 ulp in modulus.
+HARD_TRIAL = (
+    ("0x1.715e76bd03a50p-1", "0x1.6c2ecafbf40f6p-2"),
+    2,
+    "0x1.b4ab22b52421cp-1",
+    [
+        ("-0x1.449fe8395ec6ap-7", "0x1.ab7f5960d3ff7p-3"),
+        ("0x1.601a9b5c8d4a6p-2", "0x1.8f12ab3a5c08ap-3"),
+        ("0x1.33c273845dd34p-2", "0x1.24c71bf7193a2p-2"),
+    ],
+)
 
 
-def crafted_stream(second: int, third: int) -> tuple[int, int]:
-    """A PCG64 ``(state, inc)`` whose outputs 2 and 3 (counting from 0) are ``second`` and ``third``.
+def hard_trial_columns() -> tuple:
+    """The pinned hard trial as the one-row columns ``(index, a0, n, degree, r, h)`` of ``sweep._draw_batch``."""
 
-    XSL-RR outputs ``rotr(high ^ low, high >> 58)``, so a state of any
-    high half outputs a chosen word for one low half.  The increment takes
-    the state after output 2 to the one after output 3, and three steps
-    back give the state to start from.
-    """
+    def number(pair):
+        return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
 
-    def giving(word: int, high: int) -> int:
-        turn = high >> 58
-        return high << 64 | high ^ ((word << turn | word >> (64 - turn)) & MASK64)
-
-    after2 = giving(second, 0x9E3779B97F4A7C15)
-    for high in (0xBF58476D1CE4E5B9, 0xBF58476D1CE4E5B8):  # the low bits decide the increment's parity
-        after3 = giving(third, high)
-        inc = (after3 - PCG_MULT * after2) & MASK128
-        if inc & 1:
-            break
-    state = pow(PCG_MULT, -3, 1 << 128) * (after2 - (1 + PCG_MULT + PCG_MULT**2) * inc) & MASK128
-    return state, inc
+    a0, n, r, coeffs = HARD_TRIAL
+    h = np.zeros((1, MAX_DEGREE + 1), dtype=np.complex128)
+    h[0, n : n + len(coeffs)] = [number(c) for c in coeffs]
+    return (
+        np.array([43], dtype=np.uint64), np.array([number(a0)]), np.array([n]), np.array([n + len(coeffs) - 1]),
+        np.array([float.fromhex(r)]), h,
+    )
 
 
 class TestDrawBatch:
-    """The batch draw against numpy's ``default_rng([seed, index])`` draws, its oracle."""
+    """The batch draw: each row depends on its ``(seed, index)`` alone, and ``_draw`` on its uniforms alone."""
 
-    @pytest.mark.parametrize("seed", [1, 5, 42, 4510362879286407517])
-    def test_matches_default_rng(self, seed):
-        indices = range(10_000)
-        references = [reference_draw(np.random.default_rng([seed, index])) for index in indices]
-        draws = sweep._draw_batch(seed, indices)
-        assert draws[0].tolist() == list(indices)
-        assert_draws_match(draws, references)
+    def test_the_mix_is_splitmix64(self):
+        # the first three outputs of SplitMix64 seeded with 0, as its reference implementation prints them
+        counters = np.array([k * 0x9E3779B97F4A7C15 & MASK64 for k in (1, 2, 3)], dtype=np.uint64)
+        assert sweep._mix(counters).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
-    @pytest.mark.parametrize("seed", [0, 7, 4510362879286407517, 2**70 + 3, 2**96 + 5])
+    @pytest.mark.parametrize("seed", [1, 42, 4510362879286407517, 2**130 + 9])
+    def test_uniforms_match_the_python_reference(self, seed, monkeypatch):
+        uniforms, draw = [], sweep._draw
+        monkeypatch.setattr(sweep, "_draw", lambda u: uniforms.append(u) or draw(u))
+        indices = [*range(1000), 2**64 - 1]
+        sweep._draw_batch(seed, indices)
+        assert uniforms[0].tolist() == [splitmix_uniforms(seed, index) for index in indices]
+
+    @pytest.mark.parametrize("seed", [0, 7, 4510362879286407517, 2**70 + 3, 2**96 + 5, 2**130 + 9])
     def test_a_batch_mixes_index_word_counts(self, seed):
-        # SeedSequence hashes one 32-bit word of an index below 2^32 and two
-        # above; with a seed of three or four words the entropy outgrows the
-        # four-word pool, whose extra words take their own mixing loop
-        indices = [0, 2**32, 3, 2**32 - 1, 2**40 + 7, 2**64 - 1, 11, 2**33]
-        references = [reference_draw(np.random.default_rng([seed, index])) for index in indices]
-        assert_draws_match(sweep._draw_batch(seed, indices), references)
+        # seeds of one, two and three 64-bit words; indices of one and two
+        # 32-bit words, unsorted and repeated, each row the row drawn alone
+        indices = [2**64 - 1, 0, 2**32, 3, 0, 2**64 - 1, 2**32, 11]
+        draws = sweep._draw_batch(seed, indices)
+        assert draws[0].tolist() == indices
+        batch = sweep._draw_batch(seed, range(512))  # a full sweep batch
+        rows = [(draws, row, index) for row, index in enumerate(indices)] + [(batch, k, k) for k in (0, 3, 11, 511)]
+        for columns, row, index in rows:
+            alone = sweep._draw_batch(seed, [index])
+            assert [c[row].tobytes() for c in columns] == [c[0].tobytes() for c in alone], (index, row)
 
     def test_crafted_streams_take_the_rare_branches(self):
-        # Outputs 2 and 3 of a stream feed the two bounded integers.  n takes
-        # the low half of output 2 with bound 6, and a half h is rejected
-        # when 6 h mod 2^32 < 2^32 mod 6 = 4; the degree takes the next half
-        # with bound 17 - n, for n = 2 bound 15 and threshold 1.
-        n_is_2 = 1 << 30  # 6 * 2^30 / 2^32 = 1.5
-        cases = [
-            # both halves of output 2 reject n, and output 3 gives n = 1 and
-            # degree 16, so the last draws lie past the first 37 outputs
-            (0, 0xF0000000_00000001),
-            (n_is_2, 0x0123456789ABCDEF),  # a zero high half rejects the degree
-            (1 << 32 | n_is_2, 0),  # degree = n = 2, and a modulus of 0 leaves mass 0 < 1e-12
-            (0x0123456789ABCDEF, 0xFEDCBA9876543210),  # no rejection, in the same batch
-        ]
-
-        def pcg64(state, inc):
-            bits = np.random.PCG64()
-            bits.state = {
-                "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
-            }
-            return bits
-
-        streams = [crafted_stream(*case) for case in cases]
-        references = [reference_draw(np.random.Generator(pcg64(*stream))) for stream in streams]
-        assert [pcg64(*stream).random_raw(4)[2:].tolist() for stream in streams] == [list(case) for case in cases]
-        assert [(reference[1], len(reference[3])) for reference in references[:3]] == [(1, 16), (2, 9), (2, 1)]
-        assert references[2][3][0].imag == 0.0  # the zero-mass branch's one coefficient, the total
-
-        def halves(values):
-            return tuple(np.array([v >> shift & MASK64 for v in values], dtype=np.uint64) for shift in (64, 0))
-
-        state, inc = zip(*streams)
-        assert_draws_match(sweep._draw(halves(state), halves(inc)), references)
-
-    def test_the_pinned_hard_trial_is_drawn(self):
-        p = draw_trial(4510362879286407517, 43)
-        assert (p.n, p.r) == (2, 0.852868160831409)
-        a0, n, r, coeffs = reference_draw(np.random.default_rng([4510362879286407517, 43]))
-        assert (p.a0, p.n, p.r) == (a0, n, r) and p.exponent.coeffs.tobytes() == coeffs.tobytes()
+        # the lowest and highest uniforms reach the ends of every range, and
+        # zero moduli leave a mass below 1e-12, so the total goes to z^n
+        top = 1.0 - 2.0**-53
+        u = np.array([np.zeros(sweep._SLOTS), np.full(sweep._SLOTS, top), np.full(sweep._SLOTS, 0.5)])
+        u[2, 4 : 4 + MAX_DEGREE] = 0.0
+        a0, n, degree, r, h = sweep._draw(u)
+        assert n.tolist() == [1, 6, 4] and degree.tolist() == [1, 16, 10]
+        assert (a0[0], r[0]) == (A0_MODULUS_RANGE[0], RADIUS_RANGE[0])
+        assert h[0].tolist() == [0.0, 0.1 * COEFF_BUDGET] + [0.0] * (MAX_DEGREE - 1)
+        assert abs(a0[1]) < A0_MODULUS_RANGE[1] and r[1] < RADIUS_RANGE[1]
+        assert -2 * np.spacing(2 * np.pi) < np.angle(a0[1]) < 0.0  # the phase, just below 2 pi
+        assert np.count_nonzero(h[1]) == 11 and np.sum(np.abs(h[1])) < COEFF_BUDGET
+        assert h[2].tolist() == [0.0] * 4 + [0.55 * COEFF_BUDGET] + [0.0] * (MAX_DEGREE - 4)
 
     def test_negative_seeds_and_indices_are_domain_errors(self):
         for seed, index in ((-1, 0), (1, -1)):
             with pytest.raises(DomainError, match="must be non-negative"):
                 draw_trial(seed, index)
+
+    def test_indices_past_64_bits_are_domain_errors(self):
+        for call in (draw_trial, run_trial):
+            with pytest.raises(DomainError, match=r"^trial indices must lie in \[0, 2\^64\), got 18446744073709551616$"):
+                call(1, 2**64)
 
 
 def sweep_digest(summary) -> str:
@@ -229,16 +207,16 @@ def sweep_digest(summary) -> str:
 
 
 class TestPinnedOutputs:
-    """Sweep outputs pinned from the per-trial ``default_rng`` draws, which the batch draw replaced."""
+    """Sweep outputs of the counter-based ``(seed, index, slot)`` stream; a digest changes only with a stated reason."""
 
     @pytest.mark.parametrize(
         "trials, seed, tol, digest",
         [
-            (1000, 1, DEFAULT_TOL, "d7dc9c234f6f7a67380e03595529c5312a8352461b26e7f3d986ec3c39626031"),
-            (1000, 5, DEFAULT_TOL, "0a5c48540d6599e0fc0f62ed3ff67c01b9ea7d85a5180d6e141f0f77340a2207"),
-            (1000, 7, DEFAULT_TOL, "68b3062e7f9baa09a49c12b2a16fa157b9dc8e51475d9be6375038980e9e703e"),
-            (1000, 42, DEFAULT_TOL, "ab9cf81835c7e9094cef9c5e779d68d188daf4e009b229e19b5ec24b5778a52f"),
-            (300, 3, 1e-18, "d0590e4046ad041b842ef633b6e0e9597e4fe30b6c4389eb6f006c0fbd778a86"),
+            (1000, 1, DEFAULT_TOL, "58c1afcc731dd44ad40509e2e77cf3ddfda889686553cc520625527afa1b9d4a"),
+            (1000, 5, DEFAULT_TOL, "06104ee466811633bd727fccb14b8912e65272f3fe0cf552c949d666b7fa96d1"),
+            (1000, 7, DEFAULT_TOL, "996e0a2122dd0a327af7ed849d0839117129c310b7475eb30806726075b1c65e"),
+            (1000, 42, DEFAULT_TOL, "2aa81d38d6cc58e4ff65fca291571274ad65643cdfa532224cb171800eedafa9"),
+            (300, 3, 1e-18, "3701673fe3efd73c987060e455cd7dcff1c3d95a4f2ed301db456f2a74c430cd"),
         ],
     )
     def test_sweep_digest(self, trials, seed, tol, digest):
@@ -250,7 +228,7 @@ class TestPinnedOutputs:
             code = cli.main(["sweep", "--trials", "300", "--seed", "42", "--format", "json"])
         assert code == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        assert digest == "fe8c1701ba7bd3fad3aedddd2673367b692c44af63d34f2a89490666f8e17883"
+        assert digest == "31367fd978a2a3fe52f4b7d0f41067ab17ab582df4011b8cf821869f6d0c4fb7"
 
 
 class TestRunTrial:
@@ -262,13 +240,18 @@ class TestRunTrial:
         assert outcome.duality_gap <= 1e-10
 
     def test_min_and_max_reports_agree_on_m(self):
-        # in the last input the max search's polished root and the grid
+        # in the pinned hard trial the max search's polished root and the grid
         # winner differ by 1 ulp in modulus; the root must be kept over the
-        # grid point whichever side of the ulp it lands on
-        cases = [(99, index) for index in range(5)] + [(4510362879286407517, 43)]
-        for seed, index in cases:
-            outcome = run_trial(seed, index)
-            assert outcome.min_report.m == pytest.approx(outcome.max_report.m, abs=1e-10)
+        # grid point whichever side of the ulp it lands on, by the batch
+        # chain and by the scalar searches
+        pairs = [(o.min_report, o.max_report) for o in (run_trial(99, index) for index in range(5))]
+        columns = hard_trial_columns()
+        low, high = sweep._chains(columns, DEFAULT_TOL, DEFAULT_GRID)
+        assert low.reports == high.reports == {}  # the batch settles both rows
+        pairs += [(low.report(0), high.report(0)), scalar_reports(sweep._trial(columns, 0))]
+        for min_report, max_report in pairs:
+            assert min_report.passed and max_report.passed
+            assert min_report.m == pytest.approx(max_report.m, abs=1e-10)
 
 
 class TestRunSweep:
@@ -366,11 +349,14 @@ class TestBatchedSearches:
 
     def test_rows_on_the_scalar_path_report_the_scalar_checks(self):
         # a 16-point grid leaves every row to the scalar search and check, so
-        # each failed trial's reports are the scalar ones, bit for bit
+        # the trials that fail and each failed trial's reports are the scalar ones, bit for bit
         summary = run_sweep(12, 2, tol=1e-18, grid=16)
-        assert [o.params.index for o in summary.failed] == list(range(12))
+        oracle = [scalar_reports(draw_trial(2, index), 1e-18, 16) for index in range(12)]
+        failing = [index for index, (low, high) in enumerate(oracle) if not (low.passed and high.passed)]
+        assert [o.params.index for o in summary.failed] == failing
+        assert len(failing) >= 10  # at tol = 1e-18 the im residual fails all but a few trials
         for outcome in summary.failed:
-            low, high = scalar_reports(draw_trial(2, outcome.params.index), 1e-18, 16)
+            low, high = oracle[outcome.params.index]
             assert outcome.min_report.to_dict() == low.to_dict()
             assert outcome.max_report.to_dict() == high.to_dict()
 
