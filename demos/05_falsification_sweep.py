@@ -6,10 +6,13 @@
 # maximum chain must hold for 1/f.  A single failing trial would falsify
 # the implementation (search accuracy, derivative formulas, or report
 # plumbing), not the mathematics.  Randomness is derived per-trial from
-# (seed, index).  The sweep runs its disk searches in batches, every
-# trial's minimum in one vector search and every maximum of 1/f in
-# another; a trial's result does not depend on its batch, so run_trial
-# replays any trial of a sweep exactly, failures included.
+# (seed, index).  Each trial takes one disk search, for the minimum of f;
+# since |1/f| = 1/|f| that point is also the maximum of 1/f, so both
+# chains are checked there, and the duality gap compares the two chains
+# at one point.  The sweep runs those searches in batches, every trial's
+# minimum in one vector search; a trial's result does not depend on its
+# batch, so run_trial replays any trial of a sweep exactly, failures
+# included.
 
 from diskextrema import draw_trial, run_sweep, run_trial
 

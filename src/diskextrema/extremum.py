@@ -69,15 +69,15 @@ from a ``(T, M)`` grid of moduli (``T = 1`` for one function), and
 ``_best`` skips rotated copies, keeps the best basin and checks the
 origin and ring.  The caller brings the sampler and the polish kernel:
 for one function, one ``f.on_circle`` call per grid and ``_polish`` on
-``f.jet``.  A sweep searches the stack of its functions ``a0 exp(h)``
-and of their reciprocals at once (``_search_exp_batch``): one ``(T, M)``
-inverse FFT of the exponents serves both searches of every trial, since
-``|1/f| = 1/|f|``, so the ``2T`` rows of moduli hold the minima's grids
-and then the maxima's.  ``K = sum k^2 |h_k| r^k``, computed once per
-trial, certifies both, and ``_polish_rows`` polishes every candidate of
-every row in one vector loop, with the jets taken by Horner's rule.  A
-row's result carries no ``z0``; ``_exp_jets`` takes the jets at the
-located points for the sweep's chain.  Each row's arithmetic is
+``f.jet``.  A sweep searches the minima of its stack of functions
+``a0 exp(h)`` at once (``_search_exp_batch``): one ``(T, M)`` inverse FFT
+of the exponents gives every trial's grid of moduli, ``K = sum k^2 |h_k|
+r^k`` certifies each row, and ``_polish_rows`` polishes every candidate
+of every row in one vector loop, with the jets taken by Horner's rule.
+Since ``|1/f| = 1/|f|``, each minimum is also the maximum of ``1/f``, so
+the sweep searches no maxima.  A row's result carries no ``z0``;
+``_exp_jets`` takes the jets at the located points for the sweep's
+chain.  Each row's arithmetic is
 elementwise, so its result does not depend on the rest of the batch.  A
 row whose grid would double, whose bracket holds no sign change, or that
 would raise is left to the one-function search, and so is every row of a
@@ -354,11 +354,11 @@ def _is_rotated_copy(theta: float, polished, order: int, step: float) -> bool:
     return False
 
 
-def _polish_rows(sample, theta: np.ndarray, step: float, sign: float):
-    """:func:`_polish` of one candidate per row, as one vector loop.
+def _polish_rows(sample, theta: np.ndarray, step: float):
+    """:func:`_polish` of one minimum candidate per row, as one vector loop.
 
-    ``sample(t)`` gives ``(f, sign * Im(z f'/f))`` at ``z = r e^{i t}``,
-    one angle per row.  Returns :func:`_polish`'s tuple per row, or None
+    ``sample(t)`` gives ``(f, Im(z f'/f))`` at ``z = r e^{i t}``, one
+    angle per row.  Returns :func:`_polish`'s tuple per row, or None
     for a row whose bracket holds no sign change, which :func:`_polish`
     would walk.  The loop runs on every row until the last one settles,
     and a row's bracket and step count change only while it is active.
@@ -394,7 +394,7 @@ def _polish_rows(sample, theta: np.ndarray, step: float, sign: float):
         active &= (span > POLISH_TARGET) & (iterations < MAX_ITERATIONS)
     t_mid = (0.5 * (lo + hi)) % TAU
     v_mid = np.abs(sample(t_mid)[0])
-    accept = fine & (sign * (v_mid - value) <= _ACCEPT_ULPS * np.spacing(value))
+    accept = fine & (v_mid - value <= _ACCEPT_ULPS * np.spacing(value))
     picked = [np.where(accept, a, b).tolist() for a, b in ((t_mid, theta), (v_mid, value), (hi - lo, 2.0 * step))]
     return [row if ok else None for row, ok in zip(zip(*picked, iterations.tolist()), fine.tolist())]
 
@@ -409,24 +409,22 @@ class _RowExtremum(NamedTuple):
     certified_gap: float
 
 
-def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> tuple[list, list]:
-    """:func:`find_min_on_disk` of each row's ``f = a0 exp(h)`` and :func:`find_max_on_disk` of its ``1/f``.
+def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -> list:
+    """:func:`find_min_on_disk` of each row's ``f = a0 exp(h)``.
 
     ``a0`` and ``r`` are ``(T,)`` arrays and ``h`` is ``(T, W)``, the
     exponents' coefficients of ``z^0 .. z^(W-1)``, with ``W <= grid``.  One
-    transform per row serves both searches, since ``|1/f| = 1/|f|``: rows
-    ``0 .. T-1`` of the moduli are the minima's grids and rows ``T .. 2T-1``
-    the maxima's, and one polish loop serves all ``2T`` rows.  Returns the
-    minima and the maxima, a :class:`_RowExtremum` on ``grid`` per trial.
-    A search that the scalar one would refine to a finer grid, walk, or
-    raise for is None, and so is every search when ``grid`` is not a
+    inverse FFT of the stack gives every row's grid, and one polish loop
+    serves every candidate.  Returns a :class:`_RowExtremum` on ``grid`` per
+    trial.  A search that the scalar one would refine to a finer grid, walk,
+    or raise for is None, and so is every search when ``grid`` is not a
     multiple of ``BOUNDARY_RING``; the caller runs the scalar search for
-    those.
+    those.  Since ``|1/f| = 1/|f|``, the minimum of f is also the maximum of
+    ``1/f``.
     """
     count = len(a0)
     if grid < BOUNDARY_RING or grid % BOUNDARY_RING:
-        return [None] * count, [None] * count
-    sign = np.repeat([1.0, -1.0], count)
+        return [None] * count
     step = TAU / grid
     k = np.arange(h.shape[1])
     # Rows out of range come back None, for the scalar search to raise.
@@ -435,63 +433,57 @@ def _search_exp_batch(a0: np.ndarray, h: np.ndarray, r: np.ndarray, grid: int) -
         # The transform pads the coefficients itself, and the samples are freed before the polish.
         spectrum = np.fft.ifft(h * power, n=grid, axis=1)
         spectrum *= grid
-        # |a0 exp(h)| = |a0| e^{Re h}, and |1/f| is its reciprocal.
-        moduli = np.empty((2 * count, grid))
-        np.exp(spectrum.real, out=moduli[:count])
+        # |a0 exp(h)| = |a0| e^{Re h}
+        moduli = np.exp(spectrum.real)
         del spectrum
-        moduli[:count] *= np.abs(a0)[:, None]
-        np.divide(1.0, moduli[:count], out=moduli[count:])
+        moduli *= np.abs(a0)[:, None]
         low, high = moduli.min(axis=1), moduli.max(axis=1)
-        # ExpSeriesFunction.log_modulus_curvature, which 1/f shares.
-        slack = np.tile((k * k * (np.abs(h) * power)).sum(axis=1) * step**2 / 8.0, 2)
+        # ExpSeriesFunction.log_modulus_curvature
+        slack = (k * k * (np.abs(h) * power)).sum(axis=1) * step**2 / 8.0
         spread = np.log(high) - np.log(low)
         ok = (
-            np.tile((r > 0.0) & (r < 1.0), 2)
+            (r > 0.0)
+            & (r < 1.0)
             & np.isfinite(moduli).all(axis=1)
             & _grid_settled(slack, spread)
             # |f| stays above low e^-slack on the whole circle, so no polish
             # step meets the zero threshold of the scalar search.
             & (low * np.exp(-slack) > ZERO_THRESHOLD)
         )
-        rows, index = _candidates(sign[:, None] * moduli, slack, spread, sign)
+        rows, index = _candidates(moduli, slack, spread, 1.0)
         rows, index = rows[ok[rows]], index[ok[rows]]
 
-        trial = rows % count
-        coeffs = _horner_stack(h[trial], 1)
-        scale, radius, lows, signs = a0[trial], r[trial], rows < count, sign[rows]
+        coeffs = _horner_stack(h[rows], 1)
+        scale, radius = a0[rows], r[rows]
 
         def sample(t: np.ndarray):
             z = radius * np.exp(1j * (t % TAU))
             exponent, slope = _horner(coeffs, z)
-            inner = scale * np.exp(exponent)  # ExpSeriesFunction.jet
-            d1 = inner * slope
-            # Reciprocal.jet on the rows of a maximum
-            value = np.where(lows, inner, 1.0 / inner)
-            d1 = np.where(lows, d1, -d1 / (inner * inner))
-            return value, signs * (z * d1 / value).imag
+            value = scale * np.exp(exponent)  # ExpSeriesFunction.jet
+            return value, (z * (value * slope) / value).imag  # Im(z f'/f), with f' = f h'
 
         # Every candidate is polished in one loop, then the shared rules settle
         # each row; a rotated copy that they skip leaves its result unread.
-        polished = _polish_rows(sample, TAU * index / grid, step, signs)
-        origin = np.abs(np.concatenate((a0, 1.0 / a0))).tolist()  # |f(0)| = |a0 exp(0)|
+        polished = _polish_rows(sample, TAU * index / grid, step)
+        origin = np.abs(a0).tolist()  # |f(0)| = |a0 exp(0)|
     positions: dict[int, list[int]] = {}
     for position, row in enumerate(rows.tolist()):
         positions.setdefault(row, []).append(position)
     index = index.tolist()
 
-    slack, sign = slack.tolist(), sign.tolist()
-    out: list = [None] * (2 * count)
+    slack = slack.tolist()
+    out: list = [None] * count
     for row, ps in positions.items():
         try:  # the grid is a multiple of the ring, so the origin is the only edge
             best = _best(
                 [index[p] for p in ps], grid, lambda i, t, ps=ps: polished[ps[i]],
-                lambda row=row: _rotation_order(h[row % count]), sign[row], lambda row=row: origin[row],
+                lambda row=row: _rotation_order(h[row]), 1.0, lambda row=row: origin[row],
             )
-        except (InteriorBelowBoundary, InteriorAboveBoundary):
+        except InteriorBelowBoundary:
             continue  # the scalar search raises it at the row's own trial
         if best is not None:
             out[row] = _RowExtremum(*best, slack[row])
-    return out[:count], out[count:]
+    return out
 
 
 def _horner_stack(h: np.ndarray, derivatives: int) -> np.ndarray:
@@ -518,20 +510,16 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _exp_jets(a0: np.ndarray, h: np.ndarray, z: np.ndarray, minimize: bool):
-    """``(f, f', f'')`` at ``z`` of each row's ``f = a0 exp(h)``, or of ``1/f``.
+def _exp_jets(a0: np.ndarray, h: np.ndarray, z: np.ndarray):
+    """``(f, f', f'')`` at ``z`` of each row's ``f = a0 exp(h)``.
 
     The arguments are as in :func:`_search_exp_batch`, with one point per
-    row; the jets follow ``ExpSeriesFunction.jet`` and ``Reciprocal.jet``,
-    by Horner's rule along the coefficients.
+    row; the jets follow ``ExpSeriesFunction.jet``, by Horner's rule along
+    the coefficients.
     """
     exponent, slope, bend = _horner(_horner_stack(h, 2), z)
     f = a0 * np.exp(exponent)
-    d1 = f * slope
-    d2 = f * (bend + slope * slope)
-    if minimize:
-        return f, d1, d2
-    return 1.0 / f, -d1 / (f * f), (2.0 * d1 * d1 / f - d2) / (f * f)
+    return f, f * slope, f * (bend + slope * slope)
 
 
 def find_min_on_disk(f: AnalyticFunction, r: float, grid: int = DEFAULT_GRID) -> ExtremumResult:

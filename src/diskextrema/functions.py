@@ -479,6 +479,11 @@ class ExpSeriesFunction(AnalyticFunction):
         return _tail_moment(self.h, r, 2)
 
 
+def _reciprocal_jet(v, d1, d2):
+    """The jet ``(1/f, (1/f)', (1/f)'')`` of ``1/f`` from the jet ``(f, f', f'')``, on scalars or arrays."""
+    return 1.0 / v, -d1 / (v * v), (2.0 * d1 * d1 / v - d2) / (v * v)
+
+
 class Reciprocal(AnalyticFunction):
     """Pointwise ``1/f``; defined wherever ``f`` has no zeros.
 
@@ -509,9 +514,9 @@ class Reciprocal(AnalyticFunction):
         return 1.0 / values
 
     def jet(self, z):
-        v, d1, d2 = self.inner.jet(z)
+        jet = self.inner.jet(z)
         try:
-            return 1.0 / v, -d1 / (v * v), (2.0 * d1 * d1 / v - d2) / (v * v)
+            return _reciprocal_jet(*jet)
         except ZeroDivisionError:
             raise self._pole(z) from None
 

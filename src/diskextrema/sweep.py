@@ -1,11 +1,13 @@
 """Randomized falsification sweep over zero-free analytic functions.
 
 Each trial draws ``f = a0 * exp(h)`` for a random polynomial ``h`` with
-``h(0) = 0`` (so f has no zeros by construction), locates the modulus
-minimum of f and the modulus maximum of ``1/f`` on a random sub-disk, and
-runs the corresponding inequality-chain checks at both points.  The
-checked statements are theorems, so every trial must pass; a failure
-falsifies the implementation, not the mathematics.
+``h(0) = 0`` (so f has no zeros by construction) and locates the modulus
+minimum of f on a random sub-disk.  Since ``|1/f| = 1/|f|``, that point
+is also the modulus maximum of ``1/f``, so one disk search serves both
+inequality chains: the min theorem on f and the max lemma on ``1/f`` are
+checked at the one point.  The checked statements are theorems, so every
+trial must pass; a failure falsifies the implementation, not the
+mathematics.
 
 All randomness is derived from ``(seed, trial_index)``; no global
 generator state is touched, so trials are reproducible individually and
@@ -18,25 +20,24 @@ Flood, OOPSLA 2014).  So a trial does not depend on its batch, and
 arithmetic, with no ``numpy.random``.
 
 The disk searches run in batches of up to 512 trials on the default
-grid.  One transform of each trial's exponent serves both of its
-searches, the minimum of f and the maximum of ``1/f``, since
-``|1/f| = 1/|f|``; past the moduli each search is a row of its own, so
-the duality gap stays a check.  A batch shares the rules of
-``find_min_on_disk`` and ``find_max_on_disk``, with its own sampler and
-polish kernel.  The chain checks run over the batch too: each row's jet
-at its located point comes from Horner's rule over the exponents'
-coefficients (the formulas of ``ExpSeriesFunction.jet`` and
-``Reciprocal.jet``), and every link of every row from the one set of
+grid, one row per trial, with the rules of ``find_min_on_disk`` and the
+batch's own sampler and polish kernel.  The chain checks run over the
+batch too: each row's jet of f at its located point comes from Horner's
+rule over the exponents' coefficients (the formulas of
+``ExpSeriesFunction.jet``), the jet of ``1/f`` from it by the formulas of
+``Reciprocal.jet``, and every link of every row from the one set of
 expressions that ``check_min_theorem`` and ``check_max_lemma`` evaluate
-at a single point.  The sweep takes its
-duality gap and worst margins as reductions over those columns, and
-builds trials, functions and reports only where they are read.  These
-rows take the scalar path instead:
+at a single point.  So the duality gap ``|m_min - m_max|`` compares the
+f chain and the ``1/f`` chain at one point: it checks the jets and the
+link algebra, not the search.  The sweep takes its duality gap and worst
+margins as reductions over those columns, and builds trials, functions
+and reports only where they are read.  These rows take the scalar path
+instead:
 
 * a row that the batch search leaves open (a grid that is not a multiple
   of 256 points, a grid that must double, a bracket without a sign
-  change, or anything that would raise) takes the scalar search and
-  check;
+  change, or anything that would raise) takes one scalar search for the
+  minimum of f and both scalar checks at its point;
 * a row whose chain would raise (a constant exponent, ``|f(z0)|`` at the
   zero threshold, moduli too close for the bounds, a bad tolerance) takes
   the scalar check at the batch's point.
@@ -57,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .extremum import DEFAULT_GRID, _exp_jets, _search_exp_batch, find_max_on_disk, find_min_on_disk
-from .functions import ZERO_THRESHOLD, ExpSeriesFunction, Reciprocal
+from .extremum import DEFAULT_GRID, _exp_jets, _search_exp_batch, find_min_on_disk
+from .functions import ZERO_THRESHOLD, ExpSeriesFunction, Reciprocal, _reciprocal_jet
 from .lemma import (
     DEFAULT_TOL,
     LINK_NAMES,
@@ -78,9 +79,9 @@ MAX_DEGREE = 16
 COEFF_BUDGET = 2.0
 RADIUS_RANGE = (0.1, 0.9)
 
-#: Circle samples per batch search: 512 trials on the default grid, a
-#: minimum and a maximum row each, 2 MB for the transform and 2 MB for the moduli.
-_BATCH_SAMPLES = 1 << 18
+#: Circle samples per batch search: 512 trials on the default grid, 2 MB
+#: for the transform and 1 MB for the moduli.
+_BATCH_SAMPLES = 1 << 17
 
 #: Uniforms per trial, one for each slot of :func:`_draw`.
 _SLOTS = 6 + 2 * MAX_DEGREE
@@ -240,39 +241,38 @@ class _Chain:
 def _chains(draws: tuple, tol: float, grid: int) -> tuple[_Chain, _Chain]:
     """The min chain of every trial's f and the max chain of its 1/f, for :func:`_draw_batch`'s columns.
 
-    Both disk searches of every trial run as one batch
-    (:func:`extremum._search_exp_batch`), and each case's chain as one
-    :func:`lemma._links` over the jets at the located points.  A row that
-    the batch leaves open takes the scalar search and check, and a row
-    whose chain would raise takes the scalar check at the batch's point.  Those run in trial order, min before max, so that an
-    error surfaces at its own trial.
+    One disk search per trial, for the minimum of f, runs as one batch
+    (:func:`extremum._search_exp_batch`); since ``|1/f| = 1/|f|``, that
+    point is also the maximum of ``1/f``, so both chains are checked there,
+    each as one :func:`lemma._links` over the jets at the located points.
+    A row that the batch leaves open takes one scalar search and both
+    scalar checks at its point, and a row whose chain would raise takes the
+    scalar check at the batch's point.  Those run in trial order, min
+    before max, so that an error surfaces at its own trial.
     """
     _, a0, n, _, r, h = draws
+    located = _search_exp_batch(a0, h, r, grid)
+    settled = np.array([result is not None for result in located])
+    z0 = r * np.exp(1j * np.array([result.theta if result else 0.0 for result in located]))
     # The scalar check raises for a constant exponent and for a bad tolerance.
     rejected = (np.abs(h).max(axis=1) <= CONSTANT_TOL) | (not 0.0 < tol < math.inf)
     cases = []
-    for minimize, case, located in zip((True, False), ("min", "max"), _search_exp_batch(a0, h, r, grid)):
-        settled = np.array([result is not None for result in located])
-        z0 = r * np.exp(1j * np.array([result.theta if result else 0.0 for result in located]))
-        scale = a0 if minimize else 1.0 / a0
-        with np.errstate(all="ignore"):
-            fz0, d1, d2 = _exp_jets(a0, h, z0, minimize)
+    with np.errstate(all="ignore"):
+        jets = _exp_jets(a0, h, z0)
+        for case, scale, (fz0, d1, d2) in (("min", a0, jets), ("max", 1.0 / a0, _reciprocal_jet(*jets))):
             links = _links(fz0, d1, d2, scale, n, z0, tol, case)
             scalar = ~settled | rejected | (np.abs(fz0) <= ZERO_THRESHOLD) | _degenerate(scale, fz0, case)
-        cases.append((case, settled, z0, fz0, links, scalar))
+            cases.append((case, fz0, links, scalar))
     reports: tuple[dict, dict] = ({}, {})
     for row in np.flatnonzero(cases[0][-1] | cases[1][-1]).tolist():
         p = _trial(draws, row)
         f = ExpSeriesFunction(p.a0, p.exponent)
-        checks = ((f, find_min_on_disk, check_min_theorem), (Reciprocal(f), find_max_on_disk, check_max_lemma))
-        for (_, settled, z0, _, _, scalar), found, (g, search, check) in zip(cases, reports, checks):
+        point = z0[row] if settled[row] else find_min_on_disk(f, p.r, grid).z0
+        checks = ((f, check_min_theorem), (Reciprocal(f), check_max_lemma))
+        for (*_, scalar), found, (g, check) in zip(cases, reports, checks):
             if scalar[row]:
-                point = z0[row] if settled[row] else search(g, p.r, grid).z0
                 found[row] = check(g, p.n, point, tol)
-    low, high = (
-        _Chain(case, n, z0, fz0, links, tol, found)
-        for (case, _, z0, fz0, links, _), found in zip(cases, reports)
-    )
+    low, high = (_Chain(case, n, z0, fz0, links, tol, found) for (case, fz0, links, _), found in zip(cases, reports))
     return low, high
 
 
@@ -301,7 +301,7 @@ def run_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFA
     failed: list[TrialOutcome] = []
     max_gap = 0.0
     worst = np.full(len(LINK_NAMES), np.inf)
-    size = max(1, _BATCH_SAMPLES // max(2 * grid, 1))
+    size = max(1, _BATCH_SAMPLES // max(grid, 1))
     for start in range(0, trials, size):
         draws = _draw_batch(seed, range(start, min(start + size, trials)))
         low, high = _chains(draws, tol, grid)

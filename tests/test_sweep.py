@@ -31,16 +31,14 @@ from diskextrema.sweep import A0_MODULUS_RANGE, COEFF_BUDGET, MAX_DEGREE, RADIUS
 
 
 def scalar_reports(p, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
-    """One trial's min and max reports, from one scalar disk search and chain check each."""
+    """One trial's min report of f and max report of 1/f, both checked at f's scalar disk minimum."""
     f = ExpSeriesFunction(p.a0, p.exponent)
-    g = Reciprocal(f)
-    low = check_min_theorem(f, p.n, find_min_on_disk(f, p.r, grid).z0, tol)
-    high = check_max_lemma(g, p.n, find_max_on_disk(g, p.r, grid).z0, tol)
-    return low, high
+    z0 = find_min_on_disk(f, p.r, grid).z0
+    return check_min_theorem(f, p.n, z0, tol), check_max_lemma(Reciprocal(f), p.n, z0, tol)
 
 
 def scalar_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID):
-    """The sweep as a loop of one scalar min and max disk search per trial."""
+    """The sweep as a loop of one scalar disk search and two scalar chain checks per trial."""
     failed, gap, worst = [], 0.0, {name: math.inf for name in LINK_NAMES}
     for index in range(trials):
         low, high = scalar_reports(draw_trial(seed, index), tol, grid)
@@ -55,7 +53,7 @@ def scalar_sweep(trials: int, seed: int, tol: float = DEFAULT_TOL, grid: int = D
 
 
 def batched_searches(seed: int, count: int, grid: int = DEFAULT_GRID):
-    """The batch's min and max disk searches of trials ``0 .. count - 1`` of ``seed``.
+    """The batch's disk minima of trials ``0 .. count - 1`` of ``seed``.
 
     An entry is None where the row needs the scalar search.
     """
@@ -207,20 +205,21 @@ def sweep_digest(summary) -> str:
 
 
 class TestPinnedOutputs:
-    """Sweep outputs of the counter-based ``(seed, index, slot)`` stream; a digest changes only with a stated reason."""
+    """Sweep outputs of one disk search per trial; a digest changes only with a stated reason."""
 
-    @pytest.mark.parametrize(
-        "trials, seed, tol, digest",
-        [
-            (1000, 1, DEFAULT_TOL, "58c1afcc731dd44ad40509e2e77cf3ddfda889686553cc520625527afa1b9d4a"),
-            (1000, 5, DEFAULT_TOL, "06104ee466811633bd727fccb14b8912e65272f3fe0cf552c949d666b7fa96d1"),
-            (1000, 7, DEFAULT_TOL, "996e0a2122dd0a327af7ed849d0839117129c310b7475eb30806726075b1c65e"),
-            (1000, 42, DEFAULT_TOL, "2aa81d38d6cc58e4ff65fca291571274ad65643cdfa532224cb171800eedafa9"),
-            (300, 3, 1e-18, "3701673fe3efd73c987060e455cd7dcff1c3d95a4f2ed301db456f2a74c430cd"),
-        ],
-    )
-    def test_sweep_digest(self, trials, seed, tol, digest):
-        assert sweep_digest(run_sweep(trials, seed, tol)) == digest
+    #: sha256 of each ``run_sweep(trials, seed, tol)``, keyed apart from the
+    #: test ids so that a re-pin keeps them.
+    DIGESTS = {
+        (1000, 1, DEFAULT_TOL): "2f7352f9e267b40b5ec8fc0e7b3803f67872489ec9868d4fe41d56bc222ecbc8",
+        (1000, 5, DEFAULT_TOL): "9d71404c3bd55cb241d94f51a1d46b6768f9da0e81d1269a48f6532d44a87dc2",
+        (1000, 7, DEFAULT_TOL): "30d6b1fbee735654f1ed2dfed1be8b44795cc4309fd47f263e15bd42a02786c8",
+        (1000, 42, DEFAULT_TOL): "c14e20a6a450f5ab1a3fcb22b4fc9194cd1064f77eab8af4aa8f8d5e6661a344",
+        (300, 3, 1e-18): "bdee99b8672e2a4f1b44f95602dcacc421bf2d8108e0945c6727178deac8ef5b",
+    }
+
+    @pytest.mark.parametrize("trials, seed, tol", list(DIGESTS))
+    def test_sweep_digest(self, trials, seed, tol):
+        assert sweep_digest(run_sweep(trials, seed, tol)) == self.DIGESTS[trials, seed, tol]
 
     def test_cli_sweep_output(self):
         out = io.StringIO()
@@ -228,7 +227,7 @@ class TestPinnedOutputs:
             code = cli.main(["sweep", "--trials", "300", "--seed", "42", "--format", "json"])
         assert code == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        assert digest == "31367fd978a2a3fe52f4b7d0f41067ab17ab582df4011b8cf821869f6d0c4fb7"
+        assert digest == "838ff9ffd510c28251310a342404861504eabf5b789280da2819d3454ff62c2d"
 
 
 class TestRunTrial:
@@ -240,15 +239,18 @@ class TestRunTrial:
         assert outcome.duality_gap <= 1e-10
 
     def test_min_and_max_reports_agree_on_m(self):
-        # in the pinned hard trial the max search's polished root and the grid
-        # winner differ by 1 ulp in modulus; the root must be kept over the
-        # grid point whichever side of the ulp it lands on, by the batch
-        # chain and by the scalar searches
+        # in the pinned hard trial the scalar max search's polished root and
+        # the grid winner differ by 1 ulp in modulus; the root must be kept
+        # over the grid point whichever side of the ulp it lands on, so the
+        # max chain at 1/f's own maximum agrees with the min chain too
         pairs = [(o.min_report, o.max_report) for o in (run_trial(99, index) for index in range(5))]
         columns = hard_trial_columns()
         low, high = sweep._chains(columns, DEFAULT_TOL, DEFAULT_GRID)
-        assert low.reports == high.reports == {}  # the batch settles both rows
-        pairs += [(low.report(0), high.report(0)), scalar_reports(sweep._trial(columns, 0))]
+        assert low.reports == high.reports == {}  # the batch settles the row
+        p = sweep._trial(columns, 0)
+        g = Reciprocal(ExpSeriesFunction(p.a0, p.exponent))
+        own = check_max_lemma(g, p.n, find_max_on_disk(g, p.r).z0)
+        pairs += [(low.report(0), high.report(0)), scalar_reports(p), (low.report(0), own)]
         for min_report, max_report in pairs:
             assert min_report.passed and max_report.passed
             assert min_report.m == pytest.approx(max_report.m, abs=1e-10)
@@ -292,15 +294,17 @@ class TestBatchedSearches:
 
     @pytest.mark.parametrize("seed", [1, 7, 42, 4510362879286407517])
     def test_batch_matches_the_scalar_searches(self, seed):
+        # the scalar minimum of f is the batch's, and since |1/f| = 1/|f| the
+        # scalar maximum of 1/f lands on the batch's minimum too, at 1/|f|
         trials = [draw_trial(seed, index) for index in range(100)]
-        minima, maxima = batched_searches(seed, 100)
         steps = [0, 0]
-        for p, low, high in zip(trials, minima, maxima):
+        for p, got in zip(trials, batched_searches(seed, 100)):
+            assert got is not None, p.index  # the default sweep leaves no row to the scalar search
             f = ExpSeriesFunction(p.a0, p.exponent)
-            for got, want in ((low, find_min_on_disk(f, p.r)), (high, find_max_on_disk(Reciprocal(f), p.r))):
-                assert got is not None, p.index  # the default sweep leaves no row to the scalar search
+            oracles = ((find_min_on_disk(f, p.r), got.value), (find_max_on_disk(Reciprocal(f), p.r), 1.0 / got.value))
+            for want, value in oracles:
                 assert abs((got.theta - want.theta + math.pi) % (2 * math.pi) - math.pi) <= 2e-13
-                assert got.value == pytest.approx(want.value, rel=1e-15, abs=0.0)
+                assert value == pytest.approx(want.value, rel=1e-15, abs=0.0)
                 assert want.grid_size == DEFAULT_GRID  # the batch's grid, which it never refines
                 assert got.certified_gap == pytest.approx(want.certified_gap, rel=1e-14, abs=0.0)
                 steps[0] += got.refine_iterations
@@ -310,14 +314,15 @@ class TestBatchedSearches:
 
     @pytest.mark.parametrize("minimize", [True, False])
     def test_rows_that_double_or_have_no_sign_change_are_left_open(self, minimize):
-        # 0.5 z^60 at r = 0.95 needs a 512-point grid; a constant has no sign change to polish
+        # 0.5 z^60 at r = 0.95 needs a 512-point grid, in the scalar minimum
+        # of f and maximum of 1/f alike; a constant has no sign change to polish
         h = np.zeros((3, 61), dtype=complex)
         h[0, 60] = 0.5
         h[2, 3], h[2, 5] = 0.3, 0.2j
         a0, r = np.array([1.0, 0.8, 1.2 + 0.3j]), np.array([0.95, 0.5, 0.7])
-        coarse = _search_exp_batch(a0, h, r, 256)[0 if minimize else 1]
+        coarse = _search_exp_batch(a0, h, r, 256)
         assert coarse[0] is None and coarse[1] is None and coarse[2] is not None
-        fine = _search_exp_batch(a0, h, r, 512)[0 if minimize else 1]
+        fine = _search_exp_batch(a0, h, r, 512)
         f = ExpSeriesFunction(1.0, PowerSeries(0.0, 60, [0.5]))
         scalar = find_min_on_disk(f, 0.95) if minimize else find_max_on_disk(Reciprocal(f), 0.95)
         assert fine[0] is not None and scalar.grid_size == 512
@@ -331,10 +336,8 @@ class TestBatchedSearches:
         assert summary_fields(run_sweep(40, seed, grid=grid)) == scalar_sweep(40, seed, grid=grid)
 
     def test_default_sweep_makes_no_scalar_search(self, monkeypatch):
-        calls = []
-        for name in ("find_min_on_disk", "find_max_on_disk"):
-            search = getattr(sweep, name)
-            monkeypatch.setattr(sweep, name, lambda *args, _s=search: calls.append(args) or _s(*args))
+        calls, search = [], sweep.find_min_on_disk
+        monkeypatch.setattr(sweep, "find_min_on_disk", lambda *args: calls.append(args) or search(*args))
         summary = run_sweep(200, 42)
         assert summary.passed
         assert calls == []
@@ -469,8 +472,7 @@ class TestTrialErrors:
         # which raises at trial 0's minimum, and no scalar search runs
         monkeypatch.setattr(lemma, "ZERO_THRESHOLD", 10.0)
         calls = []
-        for name in ("find_min_on_disk", "find_max_on_disk"):
-            monkeypatch.setattr(sweep, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(sweep, "find_min_on_disk", lambda *args: calls.append(args))
         with pytest.raises(ZeroInDisk, match="; f vanishes at the claimed minimum$"):
             run_sweep(10, 42)
         assert calls == []
@@ -480,7 +482,7 @@ class TestTrialErrors:
         # leaves every row open, and the first scalar search, trial 0's, raises
         monkeypatch.setattr(extremum, "INTERIOR_TOL", -1.0)
         trials = [draw_trial(1, index) for index in range(5)]
-        assert batched_searches(1, 5) == ([None] * 5, [None] * 5)
+        assert batched_searches(1, 5) == [None] * 5
         radii, search = [], sweep.find_min_on_disk
 
         def spy(f, r, grid):
